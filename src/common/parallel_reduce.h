@@ -1,159 +1,47 @@
-// ParallelReduce: deterministic parallel reductions with a runtime-selected
-// execution strategy (see exec_strategy.h for the selection rules and the
-// algebra contract, DESIGN.md §14 for the determinism argument).
+// ParallelReduce: a deterministic parallel map with an ordered fold
+// (DESIGN.md §14).
 //
 // Reduces map(i) over i in [begin, end) into `init` with `combine`:
 //
 //   T acc = init;
 //   for (i = begin; i < end; ++i) combine(acc, map(i));   // the reference
 //
-// Every strategy is bit-identical to that serial left fold at any thread
-// count, *given* the caller's declared CombineAlgebra is honest:
+// ParallelFor writes map(i) into slot i, then the calling thread folds the
+// slots in index order. The combines therefore run in exactly the serial
+// order, so the result is bit-identical to the reference fold at any thread
+// count for every combine, including order-sensitive ones such as a double
+// sum. A null pool runs the reference fold itself.
 //
-//   kOrderedFold  ParallelFor writes map(i) into slot i, then the caller
-//                 thread folds the slots in index order. Exactly the pre-PR
-//                 gather-then-fold shape (including its O(items) slot
-//                 array); legal for every algebra because the combines run
-//                 in serial index order.
-//   kTreeMerge    the range is cut into a fixed number of contiguous chunks
-//                 (a function of the item count only, never the thread
-//                 count); each chunk is folded left-to-right into a local
-//                 accumulator, and chunk partials merge pairwise along a
-//                 canonical binary tree (leaf order = chunk order). Every
-//                 combine is between adjacent index ranges, so bitwise
-//                 associativity suffices.
-//   kRadixShard   shard s accumulates items with (i - begin) % shards == s
-//                 in ascending index order; shard partials merge in
-//                 ascending shard id. Item order interleaves across shards,
-//                 so bitwise commutativity is required.
-//
-// map(i) runs exactly once per index under every strategy (side effects such
-// as cache fills are safe); the warmup slice is the serial prefix of the
-// same fold, not a rehearsal. T must be copy-constructible (strategies seed
-// partials by copying `init`). Exceptions surface like ParallelFor's: the
-// lowest failing unit is rethrown on the caller.
+// map(i) runs exactly once per index (side effects such as cache fills are
+// safe). T must be copy-constructible (the slots are seeded by copying
+// `init`). Exceptions surface like ParallelFor's: the lowest failing unit is
+// rethrown on the caller.
 
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "common/exec_strategy.h"
 #include "common/thread_pool.h"
 
 namespace streamtune {
 
-namespace internal {
-
-/// Fixed fan-in knobs. Thread-count independent on purpose: the merge
-/// topology (and therefore every intermediate value) is a function of the
-/// input size only, which is what makes a 1-thread and a 64-thread run
-/// byte-for-byte comparable even for mis-declared algebras.
-inline constexpr int64_t kTreeChunks = 64;
-inline constexpr int64_t kRadixShards = 32;
-/// Items folded serially (and timed) to estimate per-item cost when the
-/// selector has a real choice and no caller hint.
-inline constexpr int64_t kWarmupItems = 16;
-/// Below this, a warmup slice would measure a range too small to matter.
-inline constexpr int64_t kWarmupMinRange = 256;
-
-}  // namespace internal
-
 template <typename T, typename MapFn, typename CombineFn>
 T ParallelReduce(ThreadPool* pool, int64_t begin, int64_t end, T init,
-                 const MapFn& map, const CombineFn& combine,
-                 ReduceOptions opts = {}) {
+                 const MapFn& map, const CombineFn& combine) {
   T acc = std::move(init);
   const int64_t n = end - begin;
   if (n <= 0) return acc;
 
-  // No pool: the serial reference fold, verbatim.
   if (pool == nullptr) {
     for (int64_t i = begin; i < end; ++i) combine(acc, map(i));
-    StrategySelector::RecordExecution(ReduceStrategy::kOrderedFold,
-                                      /*pinned=*/false, /*clamped=*/false);
     return acc;
   }
 
-  // What would run absent the cost model (for the pinned/clamped counters).
-  ReduceStrategy requested = StrategySelector::EnvPin();
-  if (requested == ReduceStrategy::kAuto) requested = opts.strategy;
-  const bool pinned = requested != ReduceStrategy::kAuto;
-  const bool clamped =
-      pinned &&
-      StrategySelector::ClampToAlgebra(requested, opts.algebra) != requested;
-
-  // Warmup slice: serially fold a short prefix — it is part of the real
-  // reduction, every index still runs exactly once — and time it to feed
-  // the selector a per-item cost estimate.
-  int64_t start = begin;
-  if (opts.cost_hint_ns <= 0.0 && n >= internal::kWarmupMinRange &&
-      StrategySelector::WantsCostEstimate(opts)) {
-    const int64_t warm = internal::kWarmupItems;
-    const int64_t t0 = StrategySelector::NowNanos();
-    for (int64_t i = begin; i < begin + warm; ++i) combine(acc, map(i));
-    const int64_t t1 = StrategySelector::NowNanos();
-    opts.cost_hint_ns = static_cast<double>(t1 - t0) / warm;
-    start = begin + warm;
-  }
-  const int64_t m = end - start;
-
-  const ReduceStrategy strategy = StrategySelector::Pick(
-      m, pool->num_threads(), static_cast<int64_t>(sizeof(T)), opts);
-  StrategySelector::RecordExecution(strategy, pinned, clamped);
-
-  switch (strategy) {
-    case ReduceStrategy::kOrderedFold: {
-      std::vector<T> slots(m, acc);  // overwritten below, value irrelevant
-      pool->ParallelFor(start, end,
-                        [&](int64_t i) { slots[i - start] = map(i); });
-      for (int64_t j = 0; j < m; ++j) combine(acc, slots[j]);
-      return acc;
-    }
-    case ReduceStrategy::kTreeMerge: {
-      const int64_t chunks = std::min<int64_t>(internal::kTreeChunks, m);
-      // parts[c] is seeded from the chunk's own first item rather than a
-      // copy of `acc` — no identity element is required of T, and the final
-      // combine(acc, parts[0]) is the only place the prefix meets the rest,
-      // exactly as associativity licenses. The fill value below is storage
-      // only; every slot is overwritten.
-      std::vector<T> parts(chunks, acc);
-      pool->ParallelFor(0, chunks, [&](int64_t c) {
-        const int64_t lo = start + m * c / chunks;
-        const int64_t hi = start + m * (c + 1) / chunks;
-        T local = map(lo);
-        for (int64_t i = lo + 1; i < hi; ++i) combine(local, map(i));
-        parts[c] = std::move(local);
-      });
-      // Canonical binary tree over chunk partials, leaves in chunk order.
-      for (int64_t stride = 1; stride < chunks; stride *= 2) {
-        for (int64_t j = 0; j + stride < chunks; j += 2 * stride) {
-          combine(parts[j], parts[j + stride]);
-        }
-      }
-      combine(acc, parts[0]);
-      return acc;
-    }
-    case ReduceStrategy::kRadixShard: {
-      const int64_t shards = std::min<int64_t>(internal::kRadixShards, m);
-      std::vector<T> parts(shards, acc);
-      pool->ParallelFor(0, shards, [&](int64_t s) {
-        T local = map(start + s);
-        for (int64_t i = start + s + shards; i < end; i += shards) {
-          combine(local, map(i));
-        }
-        parts[s] = std::move(local);
-      });
-      // Canonical merge order: ascending shard id.
-      for (int64_t s = 0; s < shards; ++s) combine(acc, parts[s]);
-      return acc;
-    }
-    case ReduceStrategy::kAuto:
-      break;  // Pick() never returns kAuto
-  }
-  for (int64_t i = start; i < end; ++i) combine(acc, map(i));
+  std::vector<T> slots(n, acc);  // overwritten below, value irrelevant
+  pool->ParallelFor(begin, end, [&](int64_t i) { slots[i - begin] = map(i); });
+  for (int64_t j = 0; j < n; ++j) combine(acc, slots[j]);
   return acc;
 }
 

@@ -66,15 +66,12 @@ Result<KMeansResult> ClusterDags(const std::vector<JobGraph>& dataset,
   // Init: farthest-point seeding (k-means++-style). A random first center,
   // then each next center is the graph farthest from all chosen centers —
   // structurally distinct families reliably get their own seed. The
-  // distance refresh and the argmax run as one ParallelReduce: argmax with
-  // a lowest-index tie-break is bitwise commutative, so any strategy
-  // reproduces the serial first-wins scan.
+  // distance refresh and the argmax run as one ParallelReduce; ties go to
+  // the lowest index, as in a serial first-wins scan.
   struct Farthest {
     double dist = -1.0;
     int64_t index = 0;
   };
-  ReduceOptions argmax_opts;
-  argmax_opts.algebra = CombineAlgebra::kCommutative;
   std::vector<int> center_idx;
   center_idx.push_back(rng.UniformInt(0, n - 1));
   std::vector<double> min_dist(n, std::numeric_limits<double>::infinity());
@@ -94,8 +91,7 @@ Result<KMeansResult> ClusterDags(const std::vector<JobGraph>& dataset,
           if (b.dist > a.dist || (b.dist == a.dist && b.index < a.index)) {
             a = b;
           }
-        },
-        argmax_opts);
+        });
     center_idx.push_back(static_cast<int>(far.index));
   }
 
@@ -105,15 +101,12 @@ Result<KMeansResult> ClusterDags(const std::vector<JobGraph>& dataset,
   // Assignment step: one ParallelReduce per iteration — the map assigns
   // graph i to its nearest center (center scan + assignment write), the
   // fold accumulates inertia and the changed flag. The inertia sum is a
-  // running double sum of arbitrary values, i.e. not bitwise reassociable,
-  // so the algebra is declared kOrderedOnly and the selector keeps the
-  // ordered fold — exactly the pre-PR gather-then-fold, bit for bit.
+  // running double sum of arbitrary values, i.e. order-sensitive, which the
+  // index-order fold keeps bit-identical to the serial loop.
   struct AssignOutcome {
     double dist = 0.0;
     bool changed = false;
   };
-  ReduceOptions assign_opts;
-  assign_opts.algebra = CombineAlgebra::kOrderedOnly;
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
@@ -134,8 +127,7 @@ Result<KMeansResult> ClusterDags(const std::vector<JobGraph>& dataset,
         [](AssignOutcome& a, const AssignOutcome& b) {
           a.dist += b.dist;
           a.changed |= b.changed;
-        },
-        assign_opts);
+        });
     result.within_cluster_distance = total.dist;
     if (!total.changed && iter > 0) break;
 
@@ -183,12 +175,9 @@ Result<int> SelectKByElbow(const std::vector<JobGraph>& dataset, int k_min,
 
   // The per-k runs are independent given a shared memo table; run them on
   // the pool (each inner ClusterDags degrades to serial on a worker). The
-  // fold keeps the first error in k order: "first non-OK" is bitwise
-  // associative (but not commutative — a later error must not displace an
-  // earlier one), so ordered fold and tree merge are both legal.
+  // fold keeps the first error in k order: a later error must not displace
+  // an earlier one.
   ThreadPool pool(base_options.num_threads);
-  ReduceOptions status_opts;
-  status_opts.algebra = CombineAlgebra::kAssociative;
   Status first_error = ParallelReduce(
       &pool, 0, count, Status::OK(),
       [&](int64_t i) {
@@ -202,8 +191,7 @@ Result<int> SelectKByElbow(const std::vector<JobGraph>& dataset, int k_min,
       },
       [](Status& a, const Status& b) {
         if (a.ok()) a = b;
-      },
-      status_opts);
+      });
   if (!first_error.ok()) return first_error;
 
   // Elbow = maximum positive curvature of the inertia curve.

@@ -1,5 +1,4 @@
-// Per-pair GED execution policy (the graph-layer half of the adaptive
-// execution-strategy engine, DESIGN.md §14).
+// Per-pair GED execution policy (DESIGN.md §14).
 //
 // Every comparison used to run one fixed search: AStar+-LSa with the
 // label-set heuristic. That is the right call for mid-sized, plausibly

@@ -40,12 +40,8 @@ std::vector<int> SimilaritySearch(const std::vector<JobGraph>& dataset,
                                   SearchMethod method, GedCache* cache,
                                   ThreadPool* pool) {
   const int n = static_cast<int>(dataset.size());
-  // Hit-list building is a reduction under concatenation: list concat is
-  // bitwise associative (adjacent index ranges merge in order), so the
-  // tree strategy is legal and the result always equals the serial
-  // index-order collect.
-  ReduceOptions opts;
-  opts.algebra = CombineAlgebra::kAssociative;
+  // Hit-list building is a reduction under concatenation; the index-order
+  // fold returns the hits in ascending index order.
   return ParallelReduce(
       pool, 0, n, std::vector<int>{},
       [&](int64_t i) {
@@ -57,8 +53,7 @@ std::vector<int> SimilaritySearch(const std::vector<JobGraph>& dataset,
       },
       [](std::vector<int>& a, const std::vector<int>& b) {
         a.insert(a.end(), b.begin(), b.end());
-      },
-      opts);
+      });
 }
 
 std::vector<int> AppearanceCounts(const std::vector<JobGraph>& cluster,

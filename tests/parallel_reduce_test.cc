@@ -1,118 +1,75 @@
-// Property tests for the ParallelReduce determinism contract: every
-// strategy, at every thread count, is bit-identical to the serial left
-// fold — on integer, double and struct accumulators. Also covers the
-// StrategySelector (clamping, env/options pins, cost-model rules) and the
-// execution counters.
+// Property tests for the ParallelReduce determinism contract: at every
+// thread count and with the null pool, the parallel map + index-order fold
+// is bit-identical to the serial left fold — on integer, double, struct and
+// vector accumulators.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "common/parallel_reduce.h"
 #include "common/thread_pool.h"
-#include "sim/metrics_aggregator.h"
 
 namespace streamtune {
 namespace {
 
-// The pin knob is process-global; every test runs with a known state and
-// restores whatever the harness had.
-class ParallelReduceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("STREAMTUNE_REDUCE_STRATEGY");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    unsetenv("STREAMTUNE_REDUCE_STRATEGY");
-    StrategySelector::ResetStats();
+// Runs fn(pool, threads) with the null pool (threads == 0) and with real
+// pools of 1, 2 and 8 threads.
+template <typename Fn>
+void ForEachPool(const Fn& fn) {
+  fn(static_cast<ThreadPool*>(nullptr), 0);
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    fn(&pool, threads);
   }
-  void TearDown() override {
-    if (had_prev_) {
-      setenv("STREAMTUNE_REDUCE_STRATEGY", prev_.c_str(), 1);
-    } else {
-      unsetenv("STREAMTUNE_REDUCE_STRATEGY");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-const int kThreadCounts[] = {1, 2, 8};
-const ReduceStrategy kAllStrategies[] = {
-    ReduceStrategy::kAuto, ReduceStrategy::kOrderedFold,
-    ReduceStrategy::kTreeMerge, ReduceStrategy::kRadixShard};
+}
 
 // Deterministic pseudo-random doubles that are NOT exactly reassociable
-// (many mantissa bits set), for the kOrderedOnly cases.
+// (many mantissa bits set).
 double Noisy(int64_t i) {
   return 1.0 / static_cast<double>(i + 3) + static_cast<double>(i % 7);
 }
 
-TEST_F(ParallelReduceTest, IntSumMatchesSerialFoldEverywhere) {
+TEST(ParallelReduceTest, IntSumMatchesSerialFoldEverywhere) {
   const int64_t n = 1000;
   int64_t expected = 0;
   for (int64_t i = 0; i < n; ++i) expected += i * i - 3 * i;
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      ReduceOptions opts;
-      opts.strategy = s;
-      opts.algebra = CombineAlgebra::kCommutative;
-      const int64_t got = ParallelReduce(
-          &pool, 0, n, int64_t{0}, [](int64_t i) { return i * i - 3 * i; },
-          [](int64_t& a, int64_t b) { a += b; }, opts);
-      EXPECT_EQ(got, expected) << ToString(s) << " x" << threads;
-    }
-  }
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    const int64_t got = ParallelReduce(
+        pool, 0, n, int64_t{0}, [](int64_t i) { return i * i - 3 * i; },
+        [](int64_t& a, int64_t b) { a += b; });
+    EXPECT_EQ(got, expected) << "x" << threads;
+  });
 }
 
-TEST_F(ParallelReduceTest, ExactDoubleSumMatchesSerialFoldEverywhere) {
-  // Multiples of 0.25 up to a few thousand add exactly in any order: every
-  // partial sum is representable, so kCommutative is an honest declaration.
+TEST(ParallelReduceTest, ExactDoubleSumMatchesSerialFoldEverywhere) {
+  // Multiples of 0.25 up to a few thousand: every partial sum is
+  // representable. Bit-identity, not tolerance.
   const int64_t n = 4096;
+  auto quarter = [](int64_t i) { return 0.25 * static_cast<double>(i % 97); };
   double expected = 0.0;
-  for (int64_t i = 0; i < n; ++i) expected += 0.25 * static_cast<double>(i % 97);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      ReduceOptions opts;
-      opts.strategy = s;
-      opts.algebra = CombineAlgebra::kCommutative;
-      const double got = ParallelReduce(
-          &pool, 0, n, 0.0,
-          [](int64_t i) { return 0.25 * static_cast<double>(i % 97); },
-          [](double& a, double b) { a += b; }, opts);
-      // Bit-identity, not tolerance.
-      EXPECT_EQ(got, expected) << ToString(s) << " x" << threads;
-    }
-  }
+  for (int64_t i = 0; i < n; ++i) expected += quarter(i);
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    const double got = ParallelReduce(pool, 0, n, 0.0, quarter,
+                                      [](double& a, double b) { a += b; });
+    EXPECT_EQ(got, expected) << "x" << threads;
+  });
 }
 
-TEST_F(ParallelReduceTest, OrderedOnlyDoubleSumClampsToSerialOrder) {
-  // An arbitrary double sum is NOT reassociable; declared kOrderedOnly,
-  // every requested strategy must clamp to the ordered fold and reproduce
-  // the serial fold to the bit.
+TEST(ParallelReduceTest, OrderedOnlyDoubleSumClampsToSerialOrder) {
+  // An arbitrary double sum is NOT reassociable: only the serial combine
+  // order reproduces it to the bit, so the fold must keep index order at
+  // every pool width.
   const int64_t n = 777;
   double expected = 0.0;
   for (int64_t i = 0; i < n; ++i) expected += Noisy(i);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      ReduceOptions opts;
-      opts.strategy = s;
-      opts.algebra = CombineAlgebra::kOrderedOnly;
-      const double got = ParallelReduce(&pool, 0, n, 0.0, Noisy,
-                                        [](double& a, double b) { a += b; },
-                                        opts);
-      EXPECT_EQ(got, expected) << ToString(s) << " x" << threads;
-    }
-  }
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    const double got = ParallelReduce(pool, 0, n, 0.0, Noisy,
+                                      [](double& a, double b) { a += b; });
+    EXPECT_EQ(got, expected) << "x" << threads;
+  });
 }
 
 struct ArgMax {
@@ -120,9 +77,9 @@ struct ArgMax {
   int64_t index = -1;
 };
 
-TEST_F(ParallelReduceTest, StructArgmaxWithTieBreakEverywhere) {
-  // value(i) collides on purpose (i % 50) so the canonical lowest-index
-  // tie-break is what makes the combine commutative.
+TEST(ParallelReduceTest, StructArgmaxWithTieBreakEverywhere) {
+  // value(i) collides on purpose (i % 50) so the lowest-index tie-break
+  // decides the answer.
   const int64_t n = 500;
   auto value = [](int64_t i) { return static_cast<double>(i % 50); };
   auto combine = [](ArgMax& a, const ArgMax& b) {
@@ -130,59 +87,41 @@ TEST_F(ParallelReduceTest, StructArgmaxWithTieBreakEverywhere) {
   };
   ArgMax expected;
   for (int64_t i = 0; i < n; ++i) combine(expected, ArgMax{value(i), i});
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      ReduceOptions opts;
-      opts.strategy = s;
-      opts.algebra = CombineAlgebra::kCommutative;
-      const ArgMax got = ParallelReduce(
-          &pool, 0, n, ArgMax{},
-          [&](int64_t i) { return ArgMax{value(i), i}; }, combine, opts);
-      EXPECT_EQ(got.value, expected.value) << ToString(s) << " x" << threads;
-      EXPECT_EQ(got.index, expected.index) << ToString(s) << " x" << threads;
-    }
-  }
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    const ArgMax got = ParallelReduce(
+        pool, 0, n, ArgMax{}, [&](int64_t i) { return ArgMax{value(i), i}; },
+        combine);
+    EXPECT_EQ(got.value, expected.value) << "x" << threads;
+    EXPECT_EQ(got.index, expected.index) << "x" << threads;
+  });
 }
 
-TEST_F(ParallelReduceTest, VectorConcatIsAssociativeNotCommutative) {
-  // Concatenation preserves index order under ordered fold and tree merge;
-  // a radix request must clamp (interleaved shards would reorder items).
+TEST(ParallelReduceTest, VectorConcatIsAssociativeNotCommutative) {
+  // Concatenation is order-sensitive: the fold must keep index order.
   const int64_t n = 300;
   std::vector<int> expected;
   for (int64_t i = 0; i < n; ++i) expected.push_back(static_cast<int>(i));
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      ReduceOptions opts;
-      opts.strategy = s;
-      opts.algebra = CombineAlgebra::kAssociative;
-      const std::vector<int> got = ParallelReduce(
-          &pool, 0, n, std::vector<int>{},
-          [](int64_t i) { return std::vector<int>{static_cast<int>(i)}; },
-          [](std::vector<int>& a, const std::vector<int>& b) {
-            a.insert(a.end(), b.begin(), b.end());
-          },
-          opts);
-      EXPECT_EQ(got, expected) << ToString(s) << " x" << threads;
-    }
-  }
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    const std::vector<int> got = ParallelReduce(
+        pool, 0, n, std::vector<int>{},
+        [](int64_t i) { return std::vector<int>{static_cast<int>(i)}; },
+        [](std::vector<int>& a, const std::vector<int>& b) {
+          a.insert(a.end(), b.begin(), b.end());
+        });
+    EXPECT_EQ(got, expected) << "x" << threads;
+  });
 }
 
-TEST_F(ParallelReduceTest, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  for (ReduceStrategy s : kAllStrategies) {
-    ReduceOptions opts;
-    opts.strategy = s;
-    opts.algebra = CombineAlgebra::kCommutative;
+TEST(ParallelReduceTest, EmptyRangeReturnsInit) {
+  ForEachPool([&](ThreadPool* pool, int threads) {
     const int got = ParallelReduce(
-        &pool, 10, 10, 42, [](int64_t) { return 1; },
-        [](int& a, int b) { a += b; }, opts);
-    EXPECT_EQ(got, 42);
-  }
+        pool, 10, 10, 42, [](int64_t) { return 1; },
+        [](int& a, int b) { a += b; });
+    EXPECT_EQ(got, 42) << "x" << threads;
+  });
 }
 
-TEST_F(ParallelReduceTest, NullPoolRunsSerialReferenceFold) {
+TEST(ParallelReduceTest, NullPoolRunsSerialReferenceFold) {
   const int64_t n = 100;
   double expected = 0.0;
   for (int64_t i = 0; i < n; ++i) expected += Noisy(i);
@@ -192,171 +131,41 @@ TEST_F(ParallelReduceTest, NullPoolRunsSerialReferenceFold) {
   EXPECT_EQ(got, expected);
 }
 
-TEST_F(ParallelReduceTest, MapRunsExactlyOncePerIndex) {
-  // Includes the auto path at n >= 256 so the warmup slice is exercised:
-  // the warmup is the fold's serial prefix, not a rehearsal.
+TEST(ParallelReduceTest, MapRunsExactlyOncePerIndex) {
   const int64_t n = 1024;
-  for (ReduceStrategy s : kAllStrategies) {
+  ForEachPool([&](ThreadPool* pool, int threads) {
     std::vector<std::atomic<int>> calls(n);
     for (auto& c : calls) c.store(0);
-    ThreadPool pool(8);
-    ReduceOptions opts;
-    opts.strategy = s;
-    opts.algebra = CombineAlgebra::kCommutative;
     (void)ParallelReduce(
-        &pool, 0, n, int64_t{0},
+        pool, 0, n, int64_t{0},
         [&](int64_t i) {
           calls[i].fetch_add(1, std::memory_order_relaxed);
           return i;
         },
-        [](int64_t& a, int64_t b) { a += b; }, opts);
+        [](int64_t& a, int64_t b) { a += b; });
     for (int64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(calls[i].load(), 1) << ToString(s) << " index " << i;
+      ASSERT_EQ(calls[i].load(), 1) << "x" << threads << " index " << i;
     }
-  }
+  });
 }
 
-TEST_F(ParallelReduceTest, ExceptionPropagatesFromMap) {
-  ThreadPool pool(4);
-  for (ReduceStrategy s : kAllStrategies) {
-    ReduceOptions opts;
-    opts.strategy = s;
-    opts.algebra = CombineAlgebra::kCommutative;
-    EXPECT_THROW(
-        ParallelReduce(
-            &pool, 0, 512, 0,
-            [](int64_t i) -> int {
-              if (i == 300) throw std::runtime_error("boom");
-              return 1;
-            },
-            [](int& a, int b) { a += b; }, opts),
-        std::runtime_error)
-        << ToString(s);
-  }
-}
-
-TEST_F(ParallelReduceTest, EnvPinBeatsOptionsPin) {
-  setenv("STREAMTUNE_REDUCE_STRATEGY", "ordered", 1);
-  StrategySelector::ResetStats();
-  ThreadPool pool(2);
-  ReduceOptions opts;
-  opts.strategy = ReduceStrategy::kTreeMerge;
-  opts.algebra = CombineAlgebra::kCommutative;
-  (void)ParallelReduce(&pool, 0, 100, 0, [](int64_t) { return 1; },
-                       [](int& a, int b) { a += b; }, opts);
-  const StrategyStatsSnapshot snap = StrategySelector::Snapshot();
-  EXPECT_EQ(snap.ordered, 1u);
-  EXPECT_EQ(snap.tree, 0u);
-  EXPECT_EQ(snap.pinned_picks, 1u);
-  unsetenv("STREAMTUNE_REDUCE_STRATEGY");
-}
-
-TEST_F(ParallelReduceTest, ClampIsCountedAndDowngrades) {
-  StrategySelector::ResetStats();
-  ThreadPool pool(2);
-  ReduceOptions opts;
-  opts.strategy = ReduceStrategy::kRadixShard;
-  opts.algebra = CombineAlgebra::kAssociative;  // radix illegal -> tree
-  (void)ParallelReduce(
-      &pool, 0, 100, std::vector<int>{},
-      [](int64_t i) { return std::vector<int>{static_cast<int>(i)}; },
-      [](std::vector<int>& a, const std::vector<int>& b) {
-        a.insert(a.end(), b.begin(), b.end());
-      },
-      opts);
-  const StrategyStatsSnapshot snap = StrategySelector::Snapshot();
-  EXPECT_EQ(snap.tree, 1u);
-  EXPECT_EQ(snap.radix, 0u);
-  EXPECT_EQ(snap.clamped, 1u);
-  EXPECT_EQ(snap.pinned_picks, 1u);
-}
-
-TEST_F(ParallelReduceTest, SelectorRules) {
-  ReduceOptions ordered_only;
-  ordered_only.algebra = CombineAlgebra::kOrderedOnly;
-  EXPECT_EQ(StrategySelector::Pick(1 << 20, 8, 8, ordered_only),
-            ReduceStrategy::kOrderedFold);
-
-  ReduceOptions small;
-  small.algebra = CombineAlgebra::kCommutative;
-  EXPECT_EQ(StrategySelector::Pick(10, 8, 8, small),
-            ReduceStrategy::kOrderedFold);
-
-  ReduceOptions cheap_huge;
-  cheap_huge.algebra = CombineAlgebra::kCommutative;
-  cheap_huge.cost_hint_ns = 10.0;
-  EXPECT_EQ(StrategySelector::Pick(1 << 20, 8, 8, cheap_huge),
-            ReduceStrategy::kRadixShard);
-
-  ReduceOptions pricey;
-  pricey.algebra = CombineAlgebra::kCommutative;
-  pricey.cost_hint_ns = 50000.0;
-  EXPECT_EQ(StrategySelector::Pick(1 << 20, 8, 8, pricey),
-            ReduceStrategy::kTreeMerge);
-
-  ReduceOptions assoc;
-  assoc.algebra = CombineAlgebra::kAssociative;
-  assoc.cost_hint_ns = 10.0;
-  EXPECT_EQ(StrategySelector::Pick(1 << 20, 8, 8, assoc),
-            ReduceStrategy::kTreeMerge);
-}
-
-TEST_F(ParallelReduceTest, EnvPinParsing) {
-  setenv("STREAMTUNE_REDUCE_STRATEGY", "tree", 1);
-  EXPECT_EQ(StrategySelector::EnvPin(), ReduceStrategy::kTreeMerge);
-  setenv("STREAMTUNE_REDUCE_STRATEGY", "radix", 1);
-  EXPECT_EQ(StrategySelector::EnvPin(), ReduceStrategy::kRadixShard);
-  setenv("STREAMTUNE_REDUCE_STRATEGY", "nonsense", 1);
-  EXPECT_EQ(StrategySelector::EnvPin(), ReduceStrategy::kAuto);
-  unsetenv("STREAMTUNE_REDUCE_STRATEGY");
-  EXPECT_EQ(StrategySelector::EnvPin(), ReduceStrategy::kAuto);
-}
-
-// A deterministic fake flow solution: the point is the reduction, not the
-// solver, so fabricate per-sample results from the index alone.
-sim::FlowResult FakeFlow(int64_t i) {
-  sim::FlowResult r;
-  const size_t ops = 3 + static_cast<size_t>(i % 4);
-  r.busy.resize(ops);
-  r.saturated.resize(ops);
-  r.blocked.resize(ops);
-  for (size_t v = 0; v < ops; ++v) {
-    r.busy[v] = 0.1 * static_cast<double>((i + static_cast<int64_t>(v)) % 10);
-    r.saturated[v] = ((i + static_cast<int64_t>(v)) % 5) == 0;
-    r.blocked[v] = ((i + static_cast<int64_t>(v)) % 7) == 0;
-  }
-  r.lambda = r.saturated[0] ? 0.5 + 0.001 * static_cast<double>(i % 100) : 1.0;
-  return r;
-}
-
-TEST_F(ParallelReduceTest, MetricsAggregatorStrategiesAgreeBitwise) {
-  const int64_t n = 2000;
-  std::vector<sim::FlowResult> bank;
-  for (int64_t i = 0; i < 64; ++i) bank.push_back(FakeFlow(i));
-  const auto solve_at = [&bank](int64_t i) -> const sim::FlowResult& {
-    return bank[i % 64];
-  };
-  const sim::FlowMetricsAccum serial =
-      sim::AggregateFlowMetrics(nullptr, n, solve_at);
-  for (int threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    for (ReduceStrategy s : kAllStrategies) {
-      const sim::FlowMetricsAccum got =
-          sim::AggregateFlowMetrics(&pool, n, solve_at, s);
-      EXPECT_EQ(got.samples, serial.samples);
-      EXPECT_EQ(got.backpressured_samples, serial.backpressured_samples);
-      EXPECT_EQ(got.operators, serial.operators);
-      EXPECT_EQ(got.saturated_operators, serial.saturated_operators);
-      EXPECT_EQ(got.blocked_operators, serial.blocked_operators);
-      EXPECT_EQ(got.min_lambda, serial.min_lambda);
-      EXPECT_EQ(got.max_lambda, serial.max_lambda);
-      EXPECT_EQ(got.lambda_micros, serial.lambda_micros);
-      EXPECT_EQ(got.busy_micros, serial.busy_micros);
+TEST(ParallelReduceTest, ExceptionPropagatesFromMap) {
+  // Two indices fail; the lowest one's exception is the one rethrown.
+  ForEachPool([&](ThreadPool* pool, int threads) {
+    try {
+      (void)ParallelReduce(
+          pool, 0, 512, 0,
+          [](int64_t i) -> int {
+            if (i == 300) throw std::runtime_error("boom 300");
+            if (i == 400) throw std::runtime_error("boom 400");
+            return 1;
+          },
+          [](int& a, int b) { a += b; });
+      ADD_FAILURE() << "no exception x" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom 300") << "x" << threads;
     }
-  }
-  EXPECT_GT(serial.samples, 0);
-  EXPECT_GT(serial.backpressure_rate(), 0.0);
-  EXPECT_GT(serial.mean_busy(), 0.0);
+  });
 }
 
 }  // namespace
