@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 
@@ -12,7 +13,32 @@ namespace streamtune::ml {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Whether a node at `depth` holding `rows` rows searches for a split. Fewer
+// than two rows have no split point whatever min_samples_leaf is.
+bool SearchesSplit(const GbdtConfig& config, int depth, int rows) {
+  return depth < config.max_depth && rows >= 2 &&
+         rows >= 2 * config.min_samples_leaf;
 }
+}  // namespace
+
+/// Everything one Fit shares across its trees. With F features and n rows,
+/// `order` holds F + 1 lists of n row ids: list f < F sorted by
+/// (cols[f * n + row], row), list F by row. Each tree starts from a copy of
+/// `sorted` and every node partitions its own [begin, end) of each list.
+struct MonotonicGbdt::FitState {
+  size_t n = 0;
+  int num_features = 0;
+  std::vector<double> cols;  // column-major: cols[f * n + row]
+  std::vector<int> sorted;   // the lists as sorted at the root
+  std::vector<int> order;    // the lists as partitioned by the current tree
+  std::vector<int> scratch;  // right-hand rows while partitioning one list
+  std::vector<char> goes_left;
+  std::vector<double> grad, hess, margin;
+
+  const double* col(int f) const { return cols.data() + f * n; }
+  int* list(int f) { return order.data() + f * n; }
+};
 
 MonotonicGbdt::MonotonicGbdt(int embedding_dim, GbdtConfig config)
     : embedding_dim_(embedding_dim), config_(config) {
@@ -35,16 +61,16 @@ double MonotonicGbdt::Tree::Predict(const std::vector<double>& x) const {
   return nodes[node].value;
 }
 
-int MonotonicGbdt::BuildNode(Tree* tree,
-                             const std::vector<std::vector<double>>& x,
-                             const std::vector<double>& grad,
-                             const std::vector<double>& hess,
-                             const std::vector<int>& indices, int depth,
-                             double lower, double upper) {
+int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
+                             int depth, double lower, double upper) {
+  const int num_features = state->num_features;
+  const double* grad = state->grad.data();
+  const double* hess = state->hess.data();
+  const int* rows = state->list(num_features);  // ascending row ids
   double g_total = 0, h_total = 0;
-  for (int i : indices) {
-    g_total += grad[i];
-    h_total += hess[i];
+  for (int k = begin; k < end; ++k) {
+    g_total += grad[rows[k]];
+    h_total += hess[rows[k]];
   }
   const double lam = config_.reg_lambda;
   auto leaf_value = [&](double g, double h, double lo, double hi) {
@@ -53,15 +79,17 @@ int MonotonicGbdt::BuildNode(Tree* tree,
 
   int node_id = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
-  tree->nodes[node_id].value =
+  const double value =
       config_.learning_rate * leaf_value(g_total, h_total, lower, upper);
-
-  if (depth >= config_.max_depth ||
-      static_cast<int>(indices.size()) < 2 * config_.min_samples_leaf) {
+  tree->nodes[node_id].value = value;
+  auto make_leaf = [&] {
+    for (int k = begin; k < end; ++k) state->margin[rows[k]] += value;
     return node_id;
-  }
+  };
 
-  const int num_features = static_cast<int>(x[0].size());
+  const int count = end - begin;
+  if (!SearchesSplit(config_, depth, count)) return make_leaf();
+
   const int p_feature = num_features - 1;  // constrained feature
 
   double parent_score = g_total * g_total / (h_total + lam);
@@ -70,26 +98,26 @@ int MonotonicGbdt::BuildNode(Tree* tree,
   double best_threshold = 0;
   double best_wl = 0, best_wr = 0;
 
-  std::vector<int> sorted = indices;
   for (int f = 0; f < num_features; ++f) {
-    // Canonical order: by value, ties by row, so the gradient sums below
-    // do not depend on the order the previous feature's sort left behind.
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
-    });
+    const int* ids = state->list(f);
+    const double* x = state->col(f);
+    // A feature constant within the node has no split point. Its list is
+    // left unpartitioned below, which stays correct: every row of the
+    // node's range, in whatever order, still has this one value.
+    if (x[ids[begin]] == x[ids[end - 1]]) continue;
     double gl = 0, hl = 0;
-    for (size_t k = 0; k + 1 < sorted.size(); ++k) {
-      int i = sorted[k];
+    for (int k = begin; k + 1 < end; ++k) {
+      int i = ids[k];
       gl += grad[i];
       hl += hess[i];
       // Only split between distinct feature values.
-      if (x[sorted[k]][f] >= x[sorted[k + 1]][f]) continue;
+      if (x[i] >= x[ids[k + 1]]) continue;
       double gr = g_total - gl, hr = h_total - hl;
       if (hl < config_.min_child_hessian || hr < config_.min_child_hessian) {
         continue;
       }
-      if (static_cast<int>(k + 1) < config_.min_samples_leaf ||
-          static_cast<int>(sorted.size() - k - 1) < config_.min_samples_leaf) {
+      if (k + 1 - begin < config_.min_samples_leaf ||
+          end - k - 1 < config_.min_samples_leaf) {
         continue;
       }
       double gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) -
@@ -105,34 +133,61 @@ int MonotonicGbdt::BuildNode(Tree* tree,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = f;
-        best_threshold = 0.5 * (x[sorted[k]][f] + x[sorted[k + 1]][f]);
+        best_threshold = 0.5 * (x[i] + x[ids[k + 1]]);
         best_wl = Clamp(-gl / (hl + lam), lower, upper);
         best_wr = Clamp(-gr / (hr + lam), lower, upper);
       }
     }
   }
 
-  if (best_feature < 0) return node_id;  // no admissible split
+  if (best_feature < 0) return make_leaf();  // no admissible split
 
-  std::vector<int> left_idx, right_idx;
-  for (int i : indices) {
-    (x[i][best_feature] < best_threshold ? left_idx : right_idx).push_back(i);
+  // Route each row as Tree::Predict will, then stable-partition the lists so
+  // both children's ranges stay sorted. The row list is always partitioned;
+  // the feature lists only when a child will search them.
+  const double* split_col = state->col(best_feature);
+  int mid = begin;
+  for (int k = begin; k < end; ++k) {
+    bool left = split_col[rows[k]] < best_threshold;
+    state->goes_left[rows[k]] = left;
+    mid += left;
   }
-  assert(!left_idx.empty() && !right_idx.empty());
+  assert(mid > begin && mid < end);
+  const bool children_search =
+      SearchesSplit(config_, depth + 1, mid - begin) ||
+      SearchesSplit(config_, depth + 1, end - mid);
+  int* scratch = state->scratch.data();
+  for (int f = children_search ? 0 : num_features; f <= num_features; ++f) {
+    int* ids = state->list(f);
+    if (f < num_features) {
+      const double* x = state->col(f);
+      if (x[ids[begin]] == x[ids[end - 1]]) continue;
+    }
+    // Branch-free: each row is written to both places, and only the cursor
+    // on its side advances.
+    int out = begin, spilled = 0;
+    for (int k = begin; k < end; ++k) {
+      int i = ids[k];
+      int left = state->goes_left[i];
+      ids[out] = i;
+      scratch[spilled] = i;
+      out += left;
+      spilled += 1 - left;
+    }
+    std::copy(scratch, scratch + spilled, ids + out);
+  }
 
   double l_lower = lower, l_upper = upper;
   double r_lower = lower, r_upper = upper;
   if (config_.enforce_monotonic && best_feature == p_feature) {
-    // Propagate value bounds: left (small p) stays >= mid, right <= mid.
-    double mid = 0.5 * (best_wl + best_wr);
-    l_lower = std::max(l_lower, mid);
-    r_upper = std::min(r_upper, mid);
+    // Propagate value bounds: left (small p) stays >= bound, right <= it.
+    double bound = 0.5 * (best_wl + best_wr);
+    l_lower = std::max(l_lower, bound);
+    r_upper = std::min(r_upper, bound);
   }
 
-  int left = BuildNode(tree, x, grad, hess, left_idx, depth + 1, l_lower,
-                       l_upper);
-  int right = BuildNode(tree, x, grad, hess, right_idx, depth + 1, r_lower,
-                        r_upper);
+  int left = BuildNode(tree, state, begin, mid, depth + 1, l_lower, l_upper);
+  int right = BuildNode(tree, state, mid, end, depth + 1, r_lower, r_upper);
   tree->nodes[node_id].feature = best_feature;
   tree->nodes[node_id].threshold = best_threshold;
   tree->nodes[node_id].left = left;
@@ -146,13 +201,25 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
     if (static_cast<int>(s.embedding.size()) != embedding_dim_) {
       return Status::InvalidArgument("embedding dimension mismatch");
     }
+    for (double v : s.embedding) {
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite embedding value");
+      }
+    }
   }
   const size_t n = data.size();
-  std::vector<std::vector<double>> x(n);
+  const int num_features = embedding_dim_ + 1;
+  FitState state;
+  state.n = n;
+  state.num_features = num_features;
+  state.cols.resize(num_features * n);
   std::vector<double> y(n);
   size_t positives = 0;
   for (size_t i = 0; i < n; ++i) {
-    x[i] = MakeFeatures(data[i].embedding, data[i].parallelism);
+    const std::vector<double>& h = data[i].embedding;
+    for (int f = 0; f < embedding_dim_; ++f) state.cols[f * n + i] = h[f];
+    state.cols[embedding_dim_ * n + i] =
+        data[i].parallelism / config_.parallelism_scale;
     y[i] = data[i].label == 1 ? 1.0 : 0.0;
     if (data[i].label == 1) ++positives;
   }
@@ -162,22 +229,35 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
   double prior = Clamp(static_cast<double>(positives) / n, 0.02, 0.98);
   base_score_ = std::log(prior / (1.0 - prior));
 
-  trees_.clear();
-  std::vector<double> margin(n, base_score_);
-  std::vector<double> grad(n), hess(n);
-  std::vector<int> all(n);
-  std::iota(all.begin(), all.end(), 0);
+  state.sorted.resize((num_features + 1) * n);
+  for (int f = 0; f <= num_features; ++f) {
+    int* ids = state.sorted.data() + f * n;
+    std::iota(ids, ids + n, 0);
+    if (f == num_features) break;  // the row list stays ascending
+    const double* x = state.col(f);
+    std::sort(ids, ids + n, [x](int a, int b) {
+      return x[a] < x[b] || (x[a] == x[b] && a < b);
+    });
+  }
+  state.order.resize(state.sorted.size());
+  state.scratch.resize(n);
+  state.goes_left.resize(n);
+  state.grad.resize(n);
+  state.hess.resize(n);
+  state.margin.assign(n, base_score_);
 
+  trees_.clear();
   for (int m = 0; m < config_.num_trees; ++m) {
     for (size_t i = 0; i < n; ++i) {
-      double s = Sigmoid(margin[i]);
+      double s = Sigmoid(state.margin[i]);
       double w = y[i] > 0.5 ? w_pos : w_neg;
-      grad[i] = w * (s - y[i]);
-      hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+      state.grad[i] = w * (s - y[i]);
+      state.hess[i] = std::max(w * s * (1.0 - s), 1e-9);
     }
+    state.order = state.sorted;
     Tree tree;
-    BuildNode(&tree, x, grad, hess, all, 0, -kInf, kInf);
-    for (size_t i = 0; i < n; ++i) margin[i] += tree.Predict(x[i]);
+    // Adds each leaf's value to the margins of the rows that reach it.
+    BuildNode(&tree, &state, 0, static_cast<int>(n), 0, -kInf, kInf);
     trees_.push_back(std::move(tree));
   }
   fitted_ = true;

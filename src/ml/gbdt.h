@@ -9,7 +9,16 @@
 //   - accepted constrained splits propagate [lower, upper] value bounds into
 //     the subtrees so every leaf respects the monotone order.
 // Since each tree is individually non-increasing in p, the ensemble is too.
-
+//
+// Fit uses the presorted exact-greedy layout (Chen & Guestrin, KDD'16). The
+// features are stored column-major, and each column's row ids are sorted
+// once per Fit in the canonical (value, row) order: ties go by ascending
+// row id. A tree node owns the range [begin, end) of every sorted list, so
+// its split scan walks each feature in order without sorting; an accepted
+// split stable-partitions the lists, which keeps both children sorted. The
+// canonical order fixes the order in which tied rows' gradients are summed,
+// so the fitted ensemble is the same as re-sorting every feature at every
+// node with that order.
 #pragma once
 
 #include <vector>
@@ -61,13 +70,12 @@ class MonotonicGbdt : public BottleneckModel {
     double Predict(const std::vector<double>& x) const;
   };
 
+  struct FitState;  // presorted columns and per-tree buffers of one Fit
+
   std::vector<double> MakeFeatures(const std::vector<double>& h,
                                    int parallelism) const;
-  int BuildNode(Tree* tree, const std::vector<std::vector<double>>& x,
-                const std::vector<double>& grad,
-                const std::vector<double>& hess,
-                const std::vector<int>& indices, int depth, double lower,
-                double upper);
+  int BuildNode(Tree* tree, FitState* state, int begin, int end, int depth,
+                double lower, double upper);
 
   int embedding_dim_;
   GbdtConfig config_;

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <tuple>
+
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "ml/gbdt.h"
 
@@ -26,6 +33,24 @@ TEST(GbdtTest, RejectsBadInput) {
   LabeledSample bad;
   bad.embedding = {1.0, 2.0};
   EXPECT_FALSE(gbdt.Fit({bad}).ok());
+}
+
+// A NaN breaks the strict weak ordering the presort relies on, and an
+// infinity makes split thresholds meaningless: Fit refuses both, so the
+// tuner falls back to its DS2 rule for that iteration.
+TEST(GbdtTest, RejectsNonFiniteEmbedding) {
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (double bad : kBad) {
+    Rng rng(39);
+    auto data = ThresholdDataset(7, &rng);
+    data[3].embedding[2] = bad;
+    MonotonicGbdt gbdt(4);
+    Status st = gbdt.Fit(data);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_EQ(gbdt.num_trees_built(), 0) << bad;
+  }
 }
 
 TEST(GbdtTest, LearnsThresholdTask) {
@@ -135,6 +160,240 @@ TEST(GbdtTest, DepthLimitRespected) {
   double p = gbdt.PredictProbability(h, 10);
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, 1.0);
+}
+
+// The per-node-sort exact greedy fit that MonotonicGbdt::Fit replaced: it
+// re-sorts every feature by (value, row) at every node and routes rows with
+// Predict. The presorted Fit must build the very same ensemble.
+class ReferenceGbdt {
+ public:
+  explicit ReferenceGbdt(const GbdtConfig& cfg) : cfg_(cfg) {}
+
+  void RefFit(const std::vector<LabeledSample>& data) {
+    const size_t n = data.size();
+    std::vector<std::vector<double>> x(n);
+    std::vector<double> y(n);
+    size_t pos = 0;
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = Features(data[i].embedding, data[i].parallelism);
+      y[i] = data[i].label == 1 ? 1.0 : 0.0;
+      pos += data[i].label == 1;
+    }
+    double w_pos = pos == 0 ? 1.0 : 0.5 * n / pos;
+    double w_neg = pos == n ? 1.0 : 0.5 * n / (n - pos);
+    double prior = Clamp(static_cast<double>(pos) / n, 0.02, 0.98);
+    base_ = std::log(prior / (1.0 - prior));
+    std::vector<double> margin(n, base_), grad(n), hess(n);
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    for (int m = 0; m < cfg_.num_trees; ++m) {
+      for (size_t i = 0; i < n; ++i) {
+        double s = Sigmoid(margin[i]);
+        double w = y[i] > 0.5 ? w_pos : w_neg;
+        grad[i] = w * (s - y[i]);
+        hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+      }
+      trees_.emplace_back();
+      Grow(&trees_.back(), x, grad, hess, all, 0, -kInf, kInf);
+      for (size_t i = 0; i < n; ++i) margin[i] += Walk(trees_.back(), x[i]);
+    }
+  }
+
+  double RefLogit(const std::vector<double>& h, int p) const {
+    std::vector<double> x = Features(h, p);
+    double s = base_;
+    for (const Tree& t : trees_) s += Walk(t, x);
+    return s;
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Node {
+    int feature = -1, left = -1, right = -1;
+    double threshold = 0, value = 0;
+  };
+  using Tree = std::vector<Node>;
+
+  std::vector<double> Features(const std::vector<double>& h, int p) const {
+    std::vector<double> x = h;
+    x.push_back(p / cfg_.parallelism_scale);
+    return x;
+  }
+
+  static double Walk(const Tree& t, const std::vector<double>& x) {
+    int v = 0;
+    while (t[v].feature >= 0) {
+      v = x[t[v].feature] < t[v].threshold ? t[v].left : t[v].right;
+    }
+    return t[v].value;
+  }
+
+  int Grow(Tree* t, const std::vector<std::vector<double>>& x,
+           const std::vector<double>& g, const std::vector<double>& h,
+           const std::vector<int>& idx, int depth, double lo, double hi) {
+    double gt = 0, ht = 0;
+    for (int i : idx) gt += g[i], ht += h[i];
+    const double lam = cfg_.reg_lambda;
+    int id = static_cast<int>(t->size());
+    t->emplace_back();
+    (*t)[id].value = cfg_.learning_rate * Clamp(-gt / (ht + lam), lo, hi);
+    const int sz = static_cast<int>(idx.size());
+    if (depth >= cfg_.max_depth || sz < 2 * cfg_.min_samples_leaf) return id;
+    const int nf = static_cast<int>(x[0].size());
+    double parent = gt * gt / (ht + lam), best = cfg_.min_split_gain;
+    int bf = -1;
+    double thr = 0, bwl = 0, bwr = 0;
+    std::vector<int> s = idx;
+    for (int f = 0; f < nf; ++f) {
+      std::sort(s.begin(), s.end(), [&](int a, int b) {
+        return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
+      });
+      double gl = 0, hl = 0;
+      for (int k = 0; k + 1 < sz; ++k) {
+        gl += g[s[k]], hl += h[s[k]];
+        if (x[s[k]][f] >= x[s[k + 1]][f]) continue;
+        double gr = gt - gl, hr = ht - hl;
+        if (hl < cfg_.min_child_hessian || hr < cfg_.min_child_hessian) continue;
+        if (k + 1 < cfg_.min_samples_leaf || sz - k - 1 < cfg_.min_samples_leaf)
+          continue;
+        double gain =
+            0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent);
+        double wl = -gl / (hl + lam), wr = -gr / (hr + lam);
+        if (cfg_.enforce_monotonic && f == nf - 1 && wl < wr) continue;
+        if (gain > best) {
+          best = gain, bf = f;
+          thr = 0.5 * (x[s[k]][f] + x[s[k + 1]][f]);
+          bwl = Clamp(wl, lo, hi), bwr = Clamp(wr, lo, hi);
+        }
+      }
+    }
+    if (bf < 0) return id;
+    std::vector<int> li, ri;
+    for (int i : idx) (x[i][bf] < thr ? li : ri).push_back(i);
+    double l_lo = lo, r_hi = hi;
+    if (cfg_.enforce_monotonic && bf == nf - 1) {
+      l_lo = std::max(lo, 0.5 * (bwl + bwr));
+      r_hi = std::min(hi, 0.5 * (bwl + bwr));
+    }
+    int l = Grow(t, x, g, h, li, depth + 1, l_lo, hi);
+    int r = Grow(t, x, g, h, ri, depth + 1, lo, r_hi);
+    (*t)[id].feature = bf, (*t)[id].threshold = thr;
+    (*t)[id].left = l, (*t)[id].right = r;
+    return id;
+  }
+
+  GbdtConfig cfg_;
+  double base_ = 0;
+  std::vector<Tree> trees_;
+};
+
+constexpr int kTunerDim = 6;
+constexpr int kTunerMaxP = 64;
+
+// Shaped like a tuner's M_f training set: ~120 diverse warm-up rows on a
+// coarse value grid, then feedback rows from a few operators whose
+// embeddings repeat every iteration, each tripled and followed by its
+// halved-p (bottleneck) or doubled-p (clean) augmentation. Column 1 is the
+// same in every row.
+std::vector<LabeledSample> TunerLikeDataset(uint64_t seed) {
+  Rng rng(seed);
+  auto grid = [&rng] { return rng.UniformInt(0, 8) / 8.0; };
+  std::vector<LabeledSample> data;
+  for (int i = 0; i < 120; ++i) {
+    LabeledSample s;
+    s.embedding = {grid(), 0.5, grid(), rng.Uniform(), grid(), grid()};
+    s.parallelism = rng.UniformInt(1, kTunerMaxP);
+    s.label = s.parallelism < 8 + 40 * s.embedding[0] ? 1 : 0;
+    data.push_back(std::move(s));
+  }
+  std::vector<std::vector<double>> ops;
+  for (int v = 0; v < 4; ++v) {
+    ops.push_back({grid(), 0.5, grid(), rng.Uniform(), grid(), grid()});
+  }
+  for (int iter = 0; iter < 12; ++iter) {
+    for (size_t v = 0; v < ops.size(); ++v) {
+      LabeledSample s;
+      s.embedding = ops[v];
+      s.parallelism = rng.UniformInt(1, kTunerMaxP);
+      s.label = s.parallelism < 10 + 8 * static_cast<int>(v) ? 1 : 0;
+      std::vector<LabeledSample> induced{s, s, s};
+      if (s.label == 1 && s.parallelism > 1) {
+        induced.push_back(s);
+        induced.back().parallelism = s.parallelism / 2;
+      } else if (s.label == 0 && s.parallelism < kTunerMaxP) {
+        induced.push_back(s);
+        induced.back().parallelism = std::min(kTunerMaxP, 2 * s.parallelism);
+      }
+      data.insert(data.end(), induced.begin(), induced.end());
+    }
+  }
+  return data;
+}
+
+// Fits both implementations and compares PredictLogit bit for bit at every
+// training embedding and a few fresh ones, for every degree 1..kTunerMaxP+1.
+void ExpectSameEnsemble(const std::vector<LabeledSample>& data,
+                        const GbdtConfig& cfg) {
+  MonotonicGbdt gbdt(kTunerDim, cfg);
+  ASSERT_TRUE(gbdt.Fit(data).ok());
+  ReferenceGbdt ref(cfg);
+  ref.RefFit(data);
+  std::vector<std::vector<double>> probes;
+  for (const LabeledSample& s : data) probes.push_back(s.embedding);
+  Rng rng(41);
+  for (int i = 0; i < 8; ++i) {
+    probes.push_back({rng.Uniform(), rng.Uniform(), rng.Uniform(),
+                      rng.Uniform(), rng.Uniform(), rng.Uniform()});
+  }
+  for (size_t e = 0; e < probes.size(); ++e) {
+    for (int p = 1; p <= kTunerMaxP + 1; ++p) {
+      double got = gbdt.PredictLogit(probes[e], p);
+      double want = ref.RefLogit(probes[e], p);
+      EXPECT_EQ(got, want) << "probe " << e << " p=" << p;
+      if (got != want) return;  // one report per ensemble
+    }
+  }
+}
+
+using EqualityParam = std::tuple<bool, int, int>;  // monotone, depth, leaf
+class GbdtEqualityTest : public ::testing::TestWithParam<EqualityParam> {};
+
+TEST_P(GbdtEqualityTest, PresortedFitMatchesPerNodeSort) {
+  GbdtConfig cfg;
+  std::tie(cfg.enforce_monotonic, cfg.max_depth, cfg.min_samples_leaf) =
+      GetParam();
+  for (uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    ExpectSameEnsemble(TunerLikeDataset(seed), cfg);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, GbdtEqualityTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(1, 4, 6),
+                                            ::testing::Values(1, 2, 5)));
+
+TEST(GbdtTest, PresortedFitMatchesPerNodeSortOnTinyInputs) {
+  auto data = TunerLikeDataset(3);
+  for (int leaf : {1, 2}) {
+    GbdtConfig cfg;
+    cfg.min_samples_leaf = leaf;
+    for (size_t n : {1, 2, 3, 7}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " leaf=" << leaf);
+      ExpectSameEnsemble({data.end() - n, data.end()}, cfg);
+    }
+  }
+}
+
+TEST(GbdtTest, PresortedFitMatchesPerNodeSortWhenEveryValueTies) {
+  // Every column constant, labels mixed: no split point exists anywhere.
+  std::vector<LabeledSample> data(30);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i].embedding.assign(kTunerDim, 0.25);
+    data[i].parallelism = 16;
+    data[i].label = i % 3 == 0 ? 1 : 0;
+  }
+  ExpectSameEnsemble(data, GbdtConfig{});
 }
 
 }  // namespace
