@@ -239,7 +239,6 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
       return x[a] < x[b] || (x[a] == x[b] && a < b);
     });
   }
-  state.order.resize(state.sorted.size());
   state.scratch.resize(n);
   state.goes_left.resize(n);
   state.grad.resize(n);

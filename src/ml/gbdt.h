@@ -19,6 +19,7 @@
 // canonical order fixes the order in which tied rows' gradients are summed,
 // so the fitted ensemble is the same as re-sorting every feature at every
 // node with that order.
+
 #pragma once
 
 #include <vector>
