@@ -5,6 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <memory>
+#include <vector>
+
 #include "bench_common.h"
 
 using namespace streamtune;
@@ -47,10 +51,10 @@ JobGraph JobFor(int template_id) {
   }
 }
 
-// Warms the tuner with prior tuning history (20 rate changes), then times
-// single-iteration Tune calls under alternating rates.
-void TimeOneIteration(benchmark::State& state, baselines::Tuner* tuner,
-                      const JobGraph& job) {
+// A deployed engine for `job`, after 20 tuning processes of `tuner` under
+// changing rates (the tuner's prior tuning history).
+std::unique_ptr<sim::StreamEngine> WarmUp(baselines::Tuner* tuner,
+                                          const JobGraph& job) {
   auto engine = MakeFlinkEngine(job);
   std::vector<int> ones(job.num_operators(), 1);
   (void)engine->Deploy(ones);
@@ -59,14 +63,27 @@ void TimeOneIteration(benchmark::State& state, baselines::Tuner* tuner,
     engine->ScaleAllSources(warm[i]);
     (void)tuner->Tune(engine.get());
   }
+  return engine;
+}
+
+// Times single-iteration Tune calls under alternating rates. `restore`,
+// when set, runs untimed before every timed call.
+void TimeOneIteration(benchmark::State& state, baselines::Tuner* tuner,
+                      sim::StreamEngine* engine,
+                      const std::function<void()>& restore = nullptr) {
   double rates[2] = {10.0, 4.0};
   int flip = 0;
   for (auto _ : state) {
+    if (restore) {
+      state.PauseTiming();
+      restore();
+      state.ResumeTiming();
+    }
     engine->ScaleAllSources(rates[flip ^= 1]);
-    auto out = tuner->Tune(engine.get());
+    auto out = tuner->Tune(engine);
     benchmark::DoNotOptimize(out);
   }
-  state.SetLabel(job.name());
+  state.SetLabel(engine->graph().name());
 }
 
 void BM_Ds2Recommendation(benchmark::State& state) {
@@ -74,7 +91,7 @@ void BM_Ds2Recommendation(benchmark::State& state) {
   baselines::Ds2Options opts;
   opts.max_iterations = 1;
   baselines::Ds2Tuner tuner(opts);
-  TimeOneIteration(state, &tuner, job);
+  TimeOneIteration(state, &tuner, WarmUp(&tuner, job).get());
 }
 
 void BM_ContTuneRecommendation(benchmark::State& state) {
@@ -82,7 +99,15 @@ void BM_ContTuneRecommendation(benchmark::State& state) {
   baselines::ContTuneOptions opts;
   opts.max_iterations = 1;
   baselines::ContTuneTuner tuner(opts);
-  TimeOneIteration(state, &tuner, job);
+  auto engine = WarmUp(&tuner, job);
+  // Every Tune appends to the GP history it refits on, so without a reset
+  // the time per call would grow with the benchmark's iteration count.
+  // Each timed call starts from the history the warm-up left instead.
+  const std::vector<baselines::GpSample> warmed = tuner.ExportHistory();
+  TimeOneIteration(state, &tuner, engine.get(), [&] {
+    tuner.ResetHistory();
+    tuner.ImportHistory(warmed);
+  });
 }
 
 void BM_StreamTuneRecommendation(benchmark::State& state) {
@@ -90,7 +115,7 @@ void BM_StreamTuneRecommendation(benchmark::State& state) {
   core::StreamTuneOptions opts;
   opts.max_iterations = 1;
   core::StreamTuneTuner tuner(GetFixture().bundle, opts);
-  TimeOneIteration(state, &tuner, job);
+  TimeOneIteration(state, &tuner, WarmUp(&tuner, job).get());
 }
 
 BENCHMARK(BM_Ds2Recommendation)

@@ -1,7 +1,6 @@
 #include "baselines/conttune.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace streamtune::baselines {
@@ -32,24 +31,7 @@ std::vector<int> ContTuneTuner::Recommend(const sim::StreamEngine& engine,
   const std::vector<int>& p_cur = engine.parallelism();
 
   // Target rates via observed selectivities (as in DS2).
-  std::vector<double> sel(n, 1.0);
-  for (int v = 0; v < n; ++v) {
-    const sim::OperatorMetrics& m = metrics.ops[v];
-    sel[v] = m.input_rate > 1e-9 ? m.output_rate / m.input_rate : 1.0;
-  }
-  auto order = g.TopologicalOrder();
-  assert(order.ok() && "deployed job graphs are acyclic");
-  std::vector<double> target_in(n, 0.0), target_out(n, 0.0);
-  for (int v : order.value()) {
-    if (g.upstream(v).empty()) {
-      target_in[v] = metrics.ops[v].desired_input_rate;
-    } else {
-      double in = 0;
-      for (int u : g.upstream(v)) in += target_out[u];
-      target_in[v] = in;
-    }
-    target_out[v] = target_in[v] * sel[v];
-  }
+  const std::vector<double> target_in = TargetInputRates(g, metrics);
 
   std::vector<int> rec = p_cur;
   for (int v = 0; v < n; ++v) {
@@ -88,45 +70,13 @@ std::vector<int> ContTuneTuner::Recommend(const sim::StreamEngine& engine,
   return rec;
 }
 
-Result<TuningOutcome> ContTuneTuner::Tune(sim::StreamEngine* engine) {
-  TuningOutcome outcome;
-  RobustLoop loop(engine, options_.robustness);
-  int reconfig_before = engine->reconfiguration_count();
-  double minutes_before = engine->virtual_minutes();
-  bool last_severe = false;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    outcome.iterations = iter + 1;
-    Result<sim::JobMetrics> metrics_r = loop.Measure();
-    if (!metrics_r.ok()) {
-      // A failed *initial* measurement on a fault-free engine is a caller
-      // error and propagates; under faults the loop degrades gracefully.
-      if (iter == 0 && !loop.hardened()) return metrics_r.status();
-      break;
-    }
-    const sim::JobMetrics& metrics = *metrics_r;
-    last_severe = metrics.severe_backpressure;
-    // Only post-deployment backpressure counts against this tuner (the
-    // iteration-0 state is shared by every method).
-    if (iter > 0 && metrics.job_backpressure) ++outcome.backpressure_events;
-    if (loop.MaybeRollback(metrics)) continue;
-    std::vector<int> rec = Recommend(*engine, metrics);
-    loop.ClampStep(&rec);
-    if (rec == engine->parallelism()) break;
-    if (!loop.Deploy(rec).ok()) break;  // persistent failure: keep current
-  }
-
-  outcome.final_parallelism = engine->parallelism();
-  for (int p : outcome.final_parallelism) outcome.total_parallelism += p;
-  outcome.reconfigurations =
-      engine->reconfiguration_count() - reconfig_before;
-  outcome.tuning_minutes = engine->virtual_minutes() - minutes_before;
-  Result<sim::JobMetrics> final_metrics = loop.Measure();
-  outcome.ended_with_backpressure = final_metrics.ok()
-                                        ? final_metrics->severe_backpressure
-                                        : last_severe;
-  loop.FillOutcome(&outcome);
-  return outcome;
+Result<std::unique_ptr<TuningSession>> ContTuneTuner::NewSession(
+    sim::StreamEngine* engine) {
+  return std::unique_ptr<TuningSession>(std::make_unique<RuleSession>(
+      engine, options_.max_iterations,
+      [this](const sim::StreamEngine& e, const sim::JobMetrics& m) {
+        return Recommend(e, m);
+      }));
 }
 
 }  // namespace streamtune::baselines

@@ -12,9 +12,10 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <vector>
 
-#include "baselines/robust_loop.h"
+#include "baselines/ds2.h"
 #include "baselines/tuner.h"
 #include "ml/gaussian_process.h"
 
@@ -28,8 +29,6 @@ struct ContTuneOptions {
   /// Multiplier for the Big phase (jump factor on the deficit ratio).
   double big_factor = 1.2;
   ml::GpConfig gp;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  RobustnessOptions robustness;
 };
 
 /// One (operator, parallelism) -> processing-ability observation, the unit
@@ -48,7 +47,11 @@ class ContTuneTuner : public Tuner {
   explicit ContTuneTuner(ContTuneOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "ContTune"; }
-  Result<TuningOutcome> Tune(sim::StreamEngine* engine) override;
+
+  /// DS2's session loop with ContTune's big-small rule; each Step() grows
+  /// this tuner's GP history.
+  Result<std::unique_ptr<TuningSession>> NewSession(
+      sim::StreamEngine* engine) override;
 
   /// Clears the accumulated per-operator tuning history (a new job).
   void ResetHistory() { history_.clear(); }

@@ -6,12 +6,9 @@
 
 namespace streamtune::baselines {
 
-std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
-                                     const sim::JobMetrics& metrics) const {
-  const JobGraph& g = engine.graph();
+std::vector<double> TargetInputRates(const JobGraph& g,
+                                     const sim::JobMetrics& metrics) {
   const int n = g.num_operators();
-  const int p_max = engine.max_parallelism();
-  const std::vector<int>& p_cur = engine.parallelism();
 
   // Observed selectivities from the rate logs.
   std::vector<double> sel(n, 1.0);
@@ -34,6 +31,16 @@ std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
     }
     target_out[v] = target_in[v] * sel[v];
   }
+  return target_in;
+}
+
+std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
+                                     const sim::JobMetrics& metrics) {
+  const int n = engine.graph().num_operators();
+  const int p_max = engine.max_parallelism();
+  const std::vector<int>& p_cur = engine.parallelism();
+  const std::vector<double> target_in =
+      TargetInputRates(engine.graph(), metrics);
 
   std::vector<int> rec(n, 1);
   for (int v = 0; v < n; ++v) {
@@ -47,7 +54,7 @@ std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
     // DS2's core: true rate = processed / useful time, assumed linear in p.
     double true_rate = m.input_rate / m.useful_time_frac_observed;
     double per_instance = true_rate / p_cur[v];
-    double needed = options_.headroom * target_in[v] / per_instance;
+    double needed = target_in[v] / per_instance;
     rec[v] = static_cast<int>(
         std::clamp(std::ceil(needed - 1e-9), 1.0,
                    static_cast<double>(p_max)));
@@ -55,17 +62,23 @@ std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
   return rec;
 }
 
-Ds2Session::Ds2Session(const Ds2Options& options, sim::StreamEngine* engine)
-    : options_(options),
-      engine_(engine),
-      loop_(engine, options.robustness),
-      reconfig_before_(engine->reconfiguration_count()),
-      minutes_before_(engine->virtual_minutes()) {}
+Result<std::unique_ptr<TuningSession>> Ds2Tuner::NewSession(
+    sim::StreamEngine* engine) {
+  return std::unique_ptr<TuningSession>(std::make_unique<RuleSession>(
+      engine, options_.max_iterations, &Ds2Tuner::Recommend));
+}
 
-Result<bool> Ds2Session::Step() {
+RuleSession::RuleSession(sim::StreamEngine* engine, int max_iterations,
+                         Rule rule)
+    : engine_(engine),
+      max_iterations_(max_iterations),
+      rule_(std::move(rule)),
+      loop_(engine) {}
+
+Result<bool> RuleSession::Step() {
   if (done_) return true;
   const int iter = outcome_.iterations;
-  if (iter >= options_.max_iterations) {
+  if (iter >= max_iterations_) {
     done_ = true;
     return true;
   }
@@ -87,7 +100,7 @@ Result<bool> Ds2Session::Step() {
   // attributed to it (Table III semantics).
   if (iter > 0 && metrics.job_backpressure) ++outcome_.backpressure_events;
   if (loop_.MaybeRollback(metrics)) return false;
-  std::vector<int> rec = Ds2Tuner(options_).Recommend(*engine_, metrics);
+  std::vector<int> rec = rule_(*engine_, metrics);
   loop_.ClampStep(&rec);
   if (rec == engine_->parallelism()) {
     done_ = true;
@@ -100,29 +113,14 @@ Result<bool> Ds2Session::Step() {
   return false;
 }
 
-Result<TuningOutcome> Ds2Session::Finish() {
-  done_ = true;
-  outcome_.final_parallelism = engine_->parallelism();
-  outcome_.total_parallelism = 0;
-  for (int p : outcome_.final_parallelism) outcome_.total_parallelism += p;
-  outcome_.reconfigurations =
-      engine_->reconfiguration_count() - reconfig_before_;
-  outcome_.tuning_minutes = engine_->virtual_minutes() - minutes_before_;
+Result<TuningOutcome> RuleSession::Finish() {
+  loop_.FillProgress(&outcome_);
   Result<sim::JobMetrics> final_metrics = loop_.Measure();
   outcome_.ended_with_backpressure = final_metrics.ok()
                                          ? final_metrics->severe_backpressure
                                          : last_severe_;
-  loop_.FillOutcome(&outcome_);
+  loop_.FillFaults(&outcome_);
   return outcome_;
-}
-
-Result<TuningOutcome> Ds2Tuner::Tune(sim::StreamEngine* engine) {
-  Ds2Session session(options_, engine);
-  while (!session.done()) {
-    ST_ASSIGN_OR_RETURN(bool stopped, session.Step());
-    if (stopped) break;
-  }
-  return session.Finish();
 }
 
 }  // namespace streamtune::baselines

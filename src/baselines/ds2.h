@@ -11,55 +11,56 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
 
 namespace streamtune::baselines {
 
+/// Unthrottled input rate each operator would see if every upstream
+/// operator kept up: source demand propagated downstream through the
+/// observed selectivities. Shared by DS2 and ContTune.
+std::vector<double> TargetInputRates(const JobGraph& g,
+                                     const sim::JobMetrics& metrics);
+
+/// The reactive tuning process DS2 and ContTune share: each Step() measures,
+/// rolls a regression back (hardened mode), asks the method's rule for a
+/// recommendation, clamps it (hardened mode), and deploys it — or stops once
+/// the recommendation equals the deployment or the iteration budget is
+/// spent. Finish() takes a trailing measurement for the backpressure
+/// verdict.
+class RuleSession final : public TuningSession {
+ public:
+  /// The method's recommendation for the current deployment and metrics.
+  using Rule = std::function<std::vector<int>(const sim::StreamEngine&,
+                                              const sim::JobMetrics&)>;
+
+  RuleSession(sim::StreamEngine* engine, int max_iterations, Rule rule);
+
+  /// Errors only for a failed initial measurement on a pristine engine (a
+  /// caller error, e.g. never deployed); every later failure degrades
+  /// gracefully and stops the process.
+  Result<bool> Step() override;
+  Result<TuningOutcome> Finish() override;
+
+ private:
+  sim::StreamEngine* engine_;
+  const int max_iterations_;
+  const Rule rule_;
+  RobustLoop loop_;
+  TuningOutcome outcome_;
+  bool last_severe_ = false;
+  /// Set once the process stopped, also by an error: a caller that retries
+  /// Step() after an error (the control plane does) then finds it stopped.
+  bool done_ = false;
+};
+
 /// Options for the DS2 tuner.
 struct Ds2Options {
   int max_iterations = 10;
-  /// Safety headroom multiplied onto target rates (DS2 uses none by
-  /// default; kept configurable for ablations).
-  double headroom = 1.0;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  RobustnessOptions robustness;
-};
-
-/// One resumable DS2 tuning process: each Step() performs exactly one
-/// measure -> recommend -> deploy decision, so an event-driven scheduler can
-/// interleave thousands of processes at decision granularity. Driving
-/// Step() to completion and calling Finish() is bit-identical to the
-/// monolithic Ds2Tuner::Tune() (which is now implemented on top of it).
-class Ds2Session {
- public:
-  Ds2Session(const Ds2Options& options, sim::StreamEngine* engine);
-
-  /// One policy iteration. Returns true when the process stopped (stable
-  /// recommendation, exhausted iteration budget, or graceful degradation on
-  /// persistent engine failure); errors only propagate for a failed initial
-  /// measurement on a pristine engine (a caller error, as before).
-  Result<bool> Step();
-
-  /// Final accounting (and the trailing measurement for the backpressure
-  /// verdict). Call once, after the last Step().
-  Result<TuningOutcome> Finish();
-
-  bool done() const { return done_; }
-  int iterations() const { return outcome_.iterations; }
-  sim::StreamEngine* engine() { return engine_; }
-
- private:
-  const Ds2Options options_;
-  sim::StreamEngine* engine_;
-  RobustLoop loop_;
-  TuningOutcome outcome_;
-  int reconfig_before_ = 0;
-  double minutes_before_ = 0;
-  bool last_severe_ = false;
-  bool done_ = false;
 };
 
 /// The DS2 scaling controller.
@@ -68,17 +69,16 @@ class Ds2Tuner : public Tuner {
   explicit Ds2Tuner(Ds2Options options = {}) : options_(options) {}
 
   std::string name() const override { return "DS2"; }
-  Result<TuningOutcome> Tune(sim::StreamEngine* engine) override;
 
-  /// Starts a resumable tuning process (see Ds2Session).
-  std::unique_ptr<Ds2Session> NewSession(sim::StreamEngine* engine) const {
-    return std::make_unique<Ds2Session>(options_, engine);
-  }
+  /// A DS2 session keeps no reference to the tuner: it may outlive it.
+  Result<std::unique_ptr<TuningSession>> NewSession(
+      sim::StreamEngine* engine) override;
 
   /// One DS2 policy step: given metrics of the current deployment, the new
-  /// recommended parallelism per operator. Exposed for unit tests.
-  std::vector<int> Recommend(const sim::StreamEngine& engine,
-                             const sim::JobMetrics& metrics) const;
+  /// recommended parallelism per operator. StreamTune falls back to it
+  /// when M_f cannot be fitted.
+  static std::vector<int> Recommend(const sim::StreamEngine& engine,
+                                    const sim::JobMetrics& metrics);
 
  private:
   Ds2Options options_;

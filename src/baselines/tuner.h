@@ -5,9 +5,16 @@
 // until its convergence criterion holds, and reports how it went. All four
 // methods (DS2, ContTune, ZeroTune, StreamTune) implement this interface and
 // run unchanged on either simulated engine.
+//
+// Every method is one resumable TuningSession — one Step() per
+// measure -> recommend -> deploy decision, then Finish() — so the paper's
+// evaluation loop exists once: Tuner::Tune() drives any session to its stop
+// rule, and the multi-job control plane steps the same sessions one
+// decision at a time.
 
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,16 +52,46 @@ struct TuningOutcome {
   int rollbacks = 0;
 };
 
+/// One resumable tuning process on one engine.
+class TuningSession {
+ public:
+  virtual ~TuningSession() = default;
+
+  /// One tuning decision. Returns true once the method's stop rule fired
+  /// (stable recommendation, exhausted iteration budget, or graceful
+  /// degradation on persistent engine failure); call Finish() then, and
+  /// Step() no more.
+  virtual Result<bool> Step() = 0;
+
+  /// Final accounting. Call once, after the last Step().
+  virtual Result<TuningOutcome> Finish() = 0;
+};
+
 /// A parallelism tuning method.
 class Tuner {
  public:
   virtual ~Tuner() = default;
   virtual std::string name() const = 0;
 
-  /// Runs one tuning process on `engine` (which must already be deployed).
-  /// Implementations call engine->Deploy / engine->Measure; counters are
-  /// read as deltas so callers need not reset them.
-  virtual Result<TuningOutcome> Tune(sim::StreamEngine* engine) = 0;
+  /// Starts a tuning process on `engine` (which must already be deployed
+  /// and must outlive the session). Unless the method says otherwise, the
+  /// tuner must outlive its sessions too, and a tuner's sessions must not
+  /// overlap (they may share the tuner's learned state).
+  virtual Result<std::unique_ptr<TuningSession>> NewSession(
+      sim::StreamEngine* engine) = 0;
+
+  /// Runs one whole tuning process: NewSession, Step until the stop rule
+  /// fires, Finish. Engine counters are read as deltas, so callers need
+  /// not reset them.
+  Result<TuningOutcome> Tune(sim::StreamEngine* engine) {
+    ST_ASSIGN_OR_RETURN(std::unique_ptr<TuningSession> session,
+                        NewSession(engine));
+    while (true) {
+      ST_ASSIGN_OR_RETURN(bool stopped, session->Step());
+      if (stopped) break;
+    }
+    return session->Finish();
+  }
 };
 
 }  // namespace streamtune::baselines

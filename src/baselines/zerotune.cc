@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "baselines/robust_loop.h"
+
 namespace streamtune::baselines {
 
 ZeroTuneTuner::ZeroTuneTuner(ZeroTuneOptions options)
@@ -107,15 +109,11 @@ Result<double> ZeroTuneTuner::PredictCost(
   return tape.value(pred).at(0, 0);
 }
 
-Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
-  if (!trained_) return Status::FailedPrecondition("model not trained");
-  const JobGraph& g = engine->graph();
+Result<std::vector<int>> ZeroTuneTuner::PickConfiguration(
+    const sim::StreamEngine& engine) {
+  const JobGraph& g = engine.graph();
   const int n = g.num_operators();
-  const int p_max = engine->max_parallelism();
-
-  TuningOutcome outcome;
-  int reconfig_before = engine->reconfiguration_count();
-  double minutes_before = engine->virtual_minutes();
+  const int p_max = engine.max_parallelism();
 
   // Sample candidates (half of them from the upper half of the range) and
   // score them with the cost model.
@@ -148,29 +146,53 @@ Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
       best = cand;
     }
   }
-  RobustLoop loop(engine, options_.robustness);
-  Status deploy_status = loop.Deploy(best);
-  if (!deploy_status.ok()) {
-    // A persistent failure on a fault-free engine is a caller error;
-    // under faults ZeroTune degrades to the current deployment.
-    if (!loop.hardened()) return deploy_status;
-  }
-  outcome.iterations = 1;
-  Result<sim::JobMetrics> metrics_r = loop.Measure();
-  if (!metrics_r.ok()) {
-    if (!loop.hardened()) return metrics_r.status();
-  } else {
-    if (metrics_r->job_backpressure) ++outcome.backpressure_events;
-    outcome.ended_with_backpressure = metrics_r->severe_backpressure;
+  return best;
+}
+
+class ZeroTuneTuner::Session final : public TuningSession {
+ public:
+  Session(ZeroTuneTuner* tuner, sim::StreamEngine* engine)
+      : tuner_(tuner), engine_(engine), loop_(engine) {}
+
+  // Pick, deploy, measure once; always the last step.
+  Result<bool> Step() override {
+    ST_ASSIGN_OR_RETURN(std::vector<int> best,
+                        tuner_->PickConfiguration(*engine_));
+    Status deploy_status = loop_.Deploy(best);
+    if (!deploy_status.ok()) {
+      // A persistent failure on a fault-free engine is a caller error;
+      // under faults ZeroTune degrades to the current deployment.
+      if (!loop_.hardened()) return deploy_status;
+    }
+    outcome_.iterations = 1;
+    Result<sim::JobMetrics> metrics_r = loop_.Measure();
+    if (!metrics_r.ok()) {
+      if (!loop_.hardened()) return metrics_r.status();
+    } else {
+      if (metrics_r->job_backpressure) ++outcome_.backpressure_events;
+      outcome_.ended_with_backpressure = metrics_r->severe_backpressure;
+    }
+    return true;
   }
 
-  outcome.final_parallelism = engine->parallelism();
-  for (int p : outcome.final_parallelism) outcome.total_parallelism += p;
-  outcome.reconfigurations =
-      engine->reconfiguration_count() - reconfig_before;
-  outcome.tuning_minutes = engine->virtual_minutes() - minutes_before;
-  loop.FillOutcome(&outcome);
-  return outcome;
+  Result<TuningOutcome> Finish() override {
+    loop_.FillProgress(&outcome_);
+    loop_.FillFaults(&outcome_);
+    return outcome_;
+  }
+
+ private:
+  ZeroTuneTuner* tuner_;
+  sim::StreamEngine* engine_;
+  RobustLoop loop_;
+  TuningOutcome outcome_;
+};
+
+Result<std::unique_ptr<TuningSession>> ZeroTuneTuner::NewSession(
+    sim::StreamEngine* engine) {
+  if (!trained_) return Status::FailedPrecondition("model not trained");
+  return std::unique_ptr<TuningSession>(
+      std::make_unique<Session>(this, engine));
 }
 
 }  // namespace streamtune::baselines

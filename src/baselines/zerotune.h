@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
 #include "dataflow/feature_encoder.h"
 #include "ml/gnn.h"
@@ -39,8 +38,6 @@ struct ZeroTuneOptions {
   /// Candidate configurations sampled per tuning call.
   int num_samples = 64;
   uint64_t seed = 31;
-  /// Retry/sanitize knobs for the hardened deploy/measure path.
-  RobustnessOptions robustness;
 };
 
 /// The ZeroTune cost-model tuner.
@@ -57,13 +54,21 @@ class ZeroTuneTuner : public Tuner {
   Result<double> PredictCost(const JobGraph& graph,
                              const std::vector<int>& parallelism) const;
 
-  /// Samples candidate configurations, deploys the predicted-best one.
-  /// Always a single reconfiguration.
-  Result<TuningOutcome> Tune(sim::StreamEngine* engine) override;
+  /// A one-step session: samples candidate configurations and deploys the
+  /// predicted-best one, always in a single reconfiguration. Fails when the
+  /// cost model is untrained.
+  Result<std::unique_ptr<TuningSession>> NewSession(
+      sim::StreamEngine* engine) override;
 
   bool trained() const { return trained_; }
 
  private:
+  class Session;
+
+  /// The candidate with the lowest predicted cost (ties broken toward more
+  /// resources; see the .cc).
+  Result<std::vector<int>> PickConfiguration(const sim::StreamEngine& engine);
+
   ZeroTuneOptions options_;
   FeatureEncoder encoder_;
   ml::GnnEncoder gnn_;

@@ -42,7 +42,7 @@ Status ControlPlane::AddJob(std::int64_t id, sim::StreamEngine* engine) {
     tuner = snapshot_->NewTuner(engine->graph().name(), options_.streamtune);
   }
   auto session = std::make_unique<JobTuningSession>(
-      id, engine, std::move(tuner), options_.ds2, options_.fault);
+      id, engine, std::move(tuner), options_.fault);
   jobs_.emplace(id, std::move(session));
 
   // Deterministic start stagger spreads the first wave across ticks.

@@ -76,8 +76,7 @@ struct ControlPlaneOptions {
 
   /// Per-job fault containment.
   JobFaultOptions fault;
-  /// Policy knobs handed to each session.
-  baselines::Ds2Options ds2;
+  /// StreamTune knobs for full-mode sessions (shed sessions run DS2 as is).
   core::StreamTuneOptions streamtune;
 
   /// Fleet watchdog: rounds before everything still running is

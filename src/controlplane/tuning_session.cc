@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "baselines/ds2.h"
+
 namespace streamtune::controlplane {
 
 namespace {
@@ -50,12 +52,10 @@ const char* JobStateName(JobState state) {
 
 JobTuningSession::JobTuningSession(std::int64_t id, sim::StreamEngine* engine,
                                    std::unique_ptr<core::StreamTuneTuner> tuner,
-                                   const baselines::Ds2Options& ds2,
                                    const JobFaultOptions& fault)
     : id_(id),
       engine_(engine),
       tuner_(std::move(tuner)),
-      ds2_(ds2),
       fault_(fault),
       mode_(tuner_ ? JobMode::kFull : JobMode::kShed),
       breaker_(fault.breaker) {}
@@ -63,24 +63,16 @@ JobTuningSession::JobTuningSession(std::int64_t id, sim::StreamEngine* engine,
 JobTuningSession::~JobTuningSession() = default;
 
 Result<bool> JobTuningSession::StepOnce() {
-  if (mode_ == JobMode::kFull) {
-    if (full_ == nullptr) {
-      // Session creation performs the initial measurement and can fail
-      // under faults; a failure feeds the breaker and is retried on the
-      // next admitted decision.
-      ST_ASSIGN_OR_RETURN(full_, tuner_->NewSession(engine_));
-    }
-    return full_->Step();
+  if (session_ == nullptr) {
+    // StreamTune's session creation performs the initial measurement and
+    // can fail under faults; a failure feeds the breaker and is retried on
+    // the next admitted decision.
+    ST_ASSIGN_OR_RETURN(session_, tuner_ != nullptr
+                                      ? tuner_->NewSession(engine_)
+                                      : baselines::Ds2Tuner().NewSession(
+                                            engine_));
   }
-  if (shed_ == nullptr) {
-    shed_ = std::make_unique<baselines::Ds2Session>(ds2_, engine_);
-  }
-  return shed_->Step();
-}
-
-Result<baselines::TuningOutcome> JobTuningSession::FinishSession() {
-  if (mode_ == JobMode::kFull) return full_->Finish();
-  return shed_->Finish();
+  return session_->Step();
 }
 
 void JobTuningSession::FoldTrajectory() {
@@ -133,7 +125,7 @@ JobState JobTuningSession::RunDecision() {
   }
 
   if (*stepped) {
-    Result<baselines::TuningOutcome> out = FinishSession();
+    Result<baselines::TuningOutcome> out = session_->Finish();
     if (out.ok()) {
       outcome_ = *out;
       has_outcome_ = true;

@@ -1,8 +1,8 @@
 // Per-job fault containment for the multi-job control plane.
 //
 // One JobTuningSession wraps one job's resumable tuning process (a
-// StreamTuneTuner::Session in full mode, a Ds2Session when the job was shed
-// by admission control) behind a fault-containment boundary:
+// StreamTune session in full mode, a DS2 session when the job was shed by
+// admission control) behind a fault-containment boundary:
 //
 //   - a three-state circuit breaker (closed / open / half-open) around each
 //     decision, driven by the job's OWN virtual clock, so a job whose
@@ -26,7 +26,7 @@
 #include <memory>
 #include <string>
 
-#include "baselines/ds2.h"
+#include "baselines/tuner.h"
 #include "common/circuit_breaker.h"
 #include "core/streamtune_tuner.h"
 
@@ -70,7 +70,6 @@ class JobTuningSession {
   /// the session.
   JobTuningSession(std::int64_t id, sim::StreamEngine* engine,
                    std::unique_ptr<core::StreamTuneTuner> tuner,
-                   const baselines::Ds2Options& ds2,
                    const JobFaultOptions& fault);
   ~JobTuningSession();
 
@@ -113,18 +112,16 @@ class JobTuningSession {
  private:
   /// Lazily creates the underlying session and advances it one step.
   Result<bool> StepOnce();
-  Result<baselines::TuningOutcome> FinishSession();
   void FoldTrajectory();
 
   const std::int64_t id_;
   sim::StreamEngine* engine_;
   std::unique_ptr<core::StreamTuneTuner> tuner_;
-  const baselines::Ds2Options ds2_;
   const JobFaultOptions fault_;
   const JobMode mode_;
 
-  std::unique_ptr<core::StreamTuneTuner::Session> full_;
-  std::unique_ptr<baselines::Ds2Session> shed_;
+  /// The tuning process, created by the first admitted decision.
+  std::unique_ptr<baselines::TuningSession> session_;
 
   JobState state_ = JobState::kRunning;
   CircuitBreaker breaker_;

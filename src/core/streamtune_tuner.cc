@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "baselines/ds2.h"
+#include "baselines/robust_loop.h"
 
 namespace streamtune::core {
 
@@ -167,13 +168,36 @@ std::vector<int> StreamTuneTuner::Recommend(const sim::StreamEngine& engine,
   return rec;
 }
 
-StreamTuneTuner::Session::Session(StreamTuneTuner* tuner,
-                                  sim::StreamEngine* engine)
-    : tuner_(tuner),
-      engine_(engine),
-      loop_(engine, tuner->options_.robustness),
-      reconfig_before_(engine->reconfiguration_count()),
-      minutes_before_(engine->virtual_minutes()) {}
+class StreamTuneTuner::Session final : public baselines::TuningSession {
+ public:
+  Session(StreamTuneTuner* tuner, sim::StreamEngine* engine)
+      : tuner_(tuner), engine_(engine), loop_(engine) {}
+
+  /// Warm-up dataset + the shared pre-tuning measurement (Algorithm 2
+  /// lines 3-4); the only part that can fail on a pristine engine.
+  Status Init();
+  Result<bool> Step() override;
+  Result<baselines::TuningOutcome> Finish() override;
+
+ private:
+  StreamTuneTuner* tuner_;
+  sim::StreamEngine* engine_;
+  baselines::RobustLoop loop_;
+  baselines::TuningOutcome outcome_;
+  int cluster_ = 0;
+  int emb_dim_ = 0;
+  std::vector<ml::LabeledSample> dataset_;
+  /// The tuner's per-job feedback accumulator (stable std::map ref).
+  std::vector<ml::LabeledSample>* accumulated_ = nullptr;
+  sim::JobMetrics last_metrics_;
+  std::vector<int> last_labels_;
+  bool last_backpressure_ = false;
+  bool last_severe_ = false;
+  /// Last deployment observed to run without backpressure.
+  std::vector<int> last_clean_;
+  /// Per-operator bracket pinned by this process's own observations.
+  std::vector<int> bracket_lo_, bracket_hi_;
+};
 
 Status StreamTuneTuner::Session::Init() {
   cluster_ = tuner_->bundle_->AssignCluster(engine_->graph());
@@ -212,12 +236,8 @@ Status StreamTuneTuner::Session::Init() {
 }
 
 Result<bool> StreamTuneTuner::Session::Step() {
-  if (done_) return true;
   const int iter = outcome_.iterations;
-  if (iter >= tuner_->options_.max_iterations) {
-    done_ = true;
-    return true;
-  }
+  if (iter >= tuner_->options_.max_iterations) return true;
   outcome_.iterations = iter + 1;
   sim::StreamEngine* engine = engine_;
   const int n_ops = engine->graph().num_operators();
@@ -245,7 +265,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   } else if (dataset_.empty()) {
     rec = engine->parallelism();
   } else {
-    rec = baselines::Ds2Tuner().Recommend(*engine, last_metrics_);
+    rec = baselines::Ds2Tuner::Recommend(*engine, last_metrics_);
   }
 
   // Progress guard: an operator that was just observed to be a bottleneck
@@ -296,7 +316,6 @@ Result<bool> StreamTuneTuner::Session::Step() {
   // recommendation saves a meaningful amount of parallelism (small +-1
   // model jitter must not trigger endless reconfigurations).
   if (rec == engine->parallelism()) {
-    done_ = true;
     return true;
   }
   if (!last_backpressure_) {
@@ -304,7 +323,6 @@ Result<bool> StreamTuneTuner::Session::Step() {
     int rec_total = total_of(rec);
     int margin = std::max(1, cur_total / 20);
     if (rec_total >= cur_total - margin) {
-      done_ = true;
       return true;
     }
   }
@@ -312,12 +330,10 @@ Result<bool> StreamTuneTuner::Session::Step() {
   // Line 10: redeploy and monitor. A persistently failing Deploy or
   // Measure degrades gracefully: the loop stops and keeps what it has.
   if (!loop_.Deploy(rec).ok()) {
-    done_ = true;
     return true;
   }
   Result<sim::JobMetrics> measured = loop_.Measure();
   if (!measured.ok()) {
-    done_ = true;
     return true;
   }
   last_metrics_ = *measured;
@@ -330,7 +346,6 @@ Result<bool> StreamTuneTuner::Session::Step() {
     // dataset.
     Result<sim::JobMetrics> restored = loop_.Measure();
     if (!restored.ok()) {
-      done_ = true;
       return true;
     }
     last_metrics_ = *restored;
@@ -397,7 +412,6 @@ Result<bool> StreamTuneTuner::Session::Step() {
 }
 
 Result<baselines::TuningOutcome> StreamTuneTuner::Session::Finish() {
-  done_ = true;
   // A failed scale-down probe at the iteration limit must not leave the job
   // backpressured: revert to the last configuration known to run clean.
   if (last_backpressure_ && !last_clean_.empty() &&
@@ -409,32 +423,17 @@ Result<baselines::TuningOutcome> StreamTuneTuner::Session::Finish() {
     ++outcome_.rollbacks;
   }
 
-  outcome_.final_parallelism = engine_->parallelism();
-  outcome_.total_parallelism = 0;
-  for (int p : outcome_.final_parallelism) outcome_.total_parallelism += p;
-  outcome_.reconfigurations =
-      engine_->reconfiguration_count() - reconfig_before_;
-  outcome_.tuning_minutes = engine_->virtual_minutes() - minutes_before_;
+  loop_.FillProgress(&outcome_);
   outcome_.ended_with_backpressure = last_severe_;
-  loop_.FillOutcome(&outcome_);
+  loop_.FillFaults(&outcome_);
   return outcome_;
 }
 
-Result<std::unique_ptr<StreamTuneTuner::Session>> StreamTuneTuner::NewSession(
-    sim::StreamEngine* engine) {
-  std::unique_ptr<Session> session(new Session(this, engine));
+Result<std::unique_ptr<baselines::TuningSession>>
+StreamTuneTuner::NewSession(sim::StreamEngine* engine) {
+  auto session = std::make_unique<Session>(this, engine);
   ST_RETURN_NOT_OK(session->Init());
-  return session;
-}
-
-Result<baselines::TuningOutcome> StreamTuneTuner::Tune(
-    sim::StreamEngine* engine) {
-  ST_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, NewSession(engine));
-  while (!session->done()) {
-    ST_ASSIGN_OR_RETURN(bool stopped, session->Step());
-    if (stopped) break;
-  }
-  return session->Finish();
+  return std::unique_ptr<baselines::TuningSession>(std::move(session));
 }
 
 }  // namespace streamtune::core

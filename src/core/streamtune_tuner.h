@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
 #include "core/pretrain.h"
 #include "ml/gbdt.h"
@@ -48,8 +47,6 @@ struct StreamTuneOptions {
   ml::GbdtConfig gbdt;
   ml::NnClassifierConfig nn;
   uint64_t seed = 19;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  baselines::RobustnessOptions robustness;
 };
 
 /// The StreamTune online tuner.
@@ -59,61 +56,17 @@ class StreamTuneTuner : public baselines::Tuner {
                   StreamTuneOptions options = {});
 
   std::string name() const override;
-  Result<baselines::TuningOutcome> Tune(sim::StreamEngine* engine) override;
 
-  /// One resumable Algorithm-2 tuning process at decision granularity (see
-  /// NewSession). Stepping a session to completion and calling Finish() is
-  /// bit-identical to Tune(), which is implemented on top of it; the split
-  /// exists so the multi-job control plane can interleave thousands of
-  /// processes over one thread pool, one decision at a time.
-  class Session {
-   public:
-    /// One fit -> recommend -> deploy -> measure -> fold iteration. True
-    /// when the stop rule fired (stable recommendation, iteration budget,
-    /// or graceful degradation on persistent engine failure).
-    Result<bool> Step();
-
-    /// Finalization: reverts a failed scale-down probe to the last clean
-    /// deployment and fills the outcome. Call once, after the last Step().
-    Result<baselines::TuningOutcome> Finish();
-
-    bool done() const { return done_; }
-    int iterations() const { return outcome_.iterations; }
-    sim::StreamEngine* engine() { return engine_; }
-
-   private:
-    friend class StreamTuneTuner;
-    Session(StreamTuneTuner* tuner, sim::StreamEngine* engine);
-    /// Warm-up dataset + the shared pre-tuning measurement (Algorithm 2
-    /// lines 3-4); the only step that can fail on a pristine engine.
-    Status Init();
-
-    StreamTuneTuner* tuner_;
-    sim::StreamEngine* engine_;
-    baselines::RobustLoop loop_;
-    baselines::TuningOutcome outcome_;
-    int reconfig_before_ = 0;
-    double minutes_before_ = 0;
-    int cluster_ = 0;
-    int emb_dim_ = 0;
-    std::vector<ml::LabeledSample> dataset_;
-    /// The tuner's per-job feedback accumulator (stable std::map ref).
-    std::vector<ml::LabeledSample>* accumulated_ = nullptr;
-    sim::JobMetrics last_metrics_;
-    std::vector<int> last_labels_;
-    bool last_backpressure_ = false;
-    bool last_severe_ = false;
-    /// Last deployment observed to run without backpressure.
-    std::vector<int> last_clean_;
-    /// Per-operator bracket pinned by this process's own observations.
-    std::vector<int> bracket_lo_, bracket_hi_;
-    bool done_ = false;
-  };
-
-  /// Starts a resumable tuning process on `engine` (already deployed). The
-  /// tuner must outlive the session; a tuner's sessions must not overlap
-  /// (they share the embedding cache and feedback accumulator).
-  Result<std::unique_ptr<Session>> NewSession(sim::StreamEngine* engine);
+  /// Starts one resumable Algorithm-2 tuning process on `engine` (already
+  /// deployed): assigns the cluster, builds the warm-up dataset and takes
+  /// the pre-tuning measurement, the only part that can fail on a pristine
+  /// engine. Each Step() is one fit -> recommend -> deploy -> measure ->
+  /// fold iteration; Finish() reverts a failed scale-down probe to the last
+  /// clean deployment. The tuner must outlive the session; a tuner's
+  /// sessions must not overlap (they share the embedding cache and feedback
+  /// accumulator).
+  Result<std::unique_ptr<baselines::TuningSession>> NewSession(
+      sim::StreamEngine* engine) override;
 
   /// One pending tuning decision for BatchedInference: the tuner about to
   /// run, the job graph it will tune, and the source rates its first
@@ -160,6 +113,8 @@ class StreamTuneTuner : public baselines::Tuner {
       const std::string& job) const;
 
  private:
+  class Session;
+
   /// Minimum p in [1, p_max] with P(bottleneck) below the threshold; p_max
   /// if none qualifies. Binary search (monotonic models) — the same search
   /// is applied to the NN ablation, whose non-monotonic predictions can

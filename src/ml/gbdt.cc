@@ -20,6 +20,14 @@ bool SearchesSplit(const GbdtConfig& config, int depth, int rows) {
   return depth < config.max_depth && rows >= 2 &&
          rows >= 2 * config.min_samples_leaf;
 }
+
+// Threshold between adjacent distinct sorted values a < b; rows with
+// x < threshold go left. The midpoint, unless it rounds onto a (adjacent
+// doubles) or overflows past b: then b itself, so neither child is empty.
+double SplitThreshold(double a, double b) {
+  const double mid = 0.5 * (a + b);
+  return a < mid && mid <= b ? mid : b;
+}
 }  // namespace
 
 /// Everything one Fit shares across its trees. With F features and n rows,
@@ -133,7 +141,7 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = f;
-        best_threshold = 0.5 * (x[i] + x[ids[k + 1]]);
+        best_threshold = SplitThreshold(x[i], x[ids[k + 1]]);
         best_wl = Clamp(-gl / (hl + lam), lower, upper);
         best_wr = Clamp(-gr / (hr + lam), lower, upper);
       }

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "baselines/ds2.h"
 #include "controlplane/control_plane.h"
 #include "sim/chaos_engine.h"
 #include "workloads/cost_config.h"
@@ -139,6 +140,61 @@ TEST(ControlPlaneTest, ZeroJobFleetReturnsEmptyReport) {
   EXPECT_EQ(report->decisions, 0);
   EXPECT_EQ(report->rounds, 0);
   EXPECT_EQ(report->converged, 0);
+}
+
+// A shed job runs DS2 through the control plane's one-session wrapper;
+// stepped to convergence, it must reach exactly what Ds2Tuner::Tune
+// reaches on an identical engine — fault-free and under fault plans.
+TEST(JobTuningSessionTest, ShedSessionMatchesDs2Tune) {
+  JobFaultOptions fault;
+  fault.decision_deadline_minutes = 10000;  // containment never engages
+  int faults_survived = 0;
+  for (int plan : {0, 1, 2, 3}) {
+    for (int i = 0; i < 3; ++i) {
+      Fleet twins[2];
+      for (Fleet& f : twins) {
+        f = MakeFleet(i + 1, nullptr);
+        if (plan > 0) {
+          f.chaos.resize(i);  // only job i is used
+          f.chaos.push_back(std::make_unique<sim::ChaosEngine>(
+              f.inner[i].get(),
+              sim::FaultPlan::Standard(static_cast<uint64_t>(plan))));
+        }
+      }
+      sim::StreamEngine* shed_engine = twins[0].engine(i);
+      sim::StreamEngine* tune_engine = twins[1].engine(i);
+
+      JobTuningSession shed(i, shed_engine, nullptr, fault);
+      ASSERT_EQ(shed.mode(), JobMode::kShed);
+      int decisions = 0;
+      while (shed.RunDecision() == JobState::kRunning) {
+        ASSERT_LT(++decisions, 1000) << "shed session never converged";
+      }
+      ASSERT_EQ(shed.state(), JobState::kConverged);
+      auto tuned = baselines::Ds2Tuner().Tune(tune_engine);
+      ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+
+      const baselines::TuningOutcome& a = *shed.outcome();
+      const baselines::TuningOutcome& b = *tuned;
+      SCOPED_TRACE("plan " + std::to_string(plan) + " job " +
+                   std::to_string(i));
+      EXPECT_EQ(a.final_parallelism, b.final_parallelism);
+      EXPECT_EQ(a.total_parallelism, b.total_parallelism);
+      EXPECT_EQ(a.reconfigurations, b.reconfigurations);
+      EXPECT_EQ(a.backpressure_events, b.backpressure_events);
+      EXPECT_EQ(a.ended_with_backpressure, b.ended_with_backpressure);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.tuning_minutes, b.tuning_minutes);
+      EXPECT_EQ(a.faults_survived, b.faults_survived);
+      EXPECT_EQ(a.retries, b.retries);
+      EXPECT_EQ(a.rollbacks, b.rollbacks);
+      EXPECT_EQ(shed_engine->parallelism(), tune_engine->parallelism());
+      EXPECT_EQ(shed_engine->virtual_minutes(),
+                tune_engine->virtual_minutes());
+      faults_survived += a.faults_survived;
+    }
+  }
+  EXPECT_GT(faults_survived, 0) << "the fault plans injected nothing";
 }
 
 TEST(ControlPlaneTest, SingleFullJobConvergesAndAdmitsToKb) {

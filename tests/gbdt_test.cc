@@ -263,6 +263,10 @@ class ReferenceGbdt {
         if (gain > best) {
           best = gain, bf = f;
           thr = 0.5 * (x[s[k]][f] + x[s[k + 1]][f]);
+          // Adjacent doubles (or overflow): split at the upper value.
+          if (!(x[s[k]][f] < thr && thr <= x[s[k + 1]][f])) {
+            thr = x[s[k + 1]][f];
+          }
           bwl = Clamp(wl, lo, hi), bwr = Clamp(wr, lo, hi);
         }
       }
@@ -394,6 +398,30 @@ TEST(GbdtTest, PresortedFitMatchesPerNodeSortWhenEveryValueTies) {
     data[i].label = i % 3 == 0 ? 1 : 0;
   }
   ExpectSameEnsemble(data, GbdtConfig{});
+}
+
+// Adjacent doubles a < b: 0.5 * (a + b) rounds onto a, so a threshold at
+// the midpoint routes every row right and leaves the left child empty.
+// Near the top of the range the midpoint overflows instead. Either way the
+// split must fall back to b and separate the two values.
+TEST(GbdtTest, SplitsBetweenAdjacentAndHugeValues) {
+  const double kPairs[][2] = {{1.0, std::nextafter(1.0, 2.0)},
+                              {1.5e308, 1.6e308}};
+  for (const auto& [a, b] : kPairs) {
+    SCOPED_TRACE(::testing::Message() << a << " < " << b);
+    std::vector<LabeledSample> data(8);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i].embedding.assign(kTunerDim, 0.5);
+      data[i].embedding[0] = i < 4 ? a : b;
+      data[i].parallelism = 16;
+      data[i].label = i < 4 ? 1 : 0;
+    }
+    MonotonicGbdt gbdt(kTunerDim);
+    ASSERT_TRUE(gbdt.Fit(data).ok());
+    EXPECT_GT(gbdt.PredictProbability(data.front().embedding, 16), 0.5);
+    EXPECT_LT(gbdt.PredictProbability(data.back().embedding, 16), 0.5);
+    ExpectSameEnsemble(data, GbdtConfig{});
+  }
 }
 
 }  // namespace
