@@ -99,7 +99,8 @@ Result<bool> RuleSession::Step() {
   // all methods; only backpressure after this tuner's own deployments is
   // attributed to it (Table III semantics).
   if (iter > 0 && metrics.job_backpressure) ++outcome_.backpressure_events;
-  if (loop_.MaybeRollback(metrics)) return false;
+  const bool budget_spent = iter + 1 >= max_iterations_;
+  if (loop_.MaybeRollback(metrics)) return budget_spent;
   std::vector<int> rec = rule_(*engine_, metrics);
   loop_.ClampStep(&rec);
   if (rec == engine_->parallelism()) {
@@ -110,7 +111,7 @@ Result<bool> RuleSession::Step() {
     done_ = true;
     return true;
   }
-  return false;
+  return budget_spent;
 }
 
 Result<TuningOutcome> RuleSession::Finish() {

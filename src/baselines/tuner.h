@@ -58,9 +58,9 @@ class TuningSession {
   virtual ~TuningSession() = default;
 
   /// One tuning decision. Returns true once the method's stop rule fired
-  /// (stable recommendation, exhausted iteration budget, or graceful
-  /// degradation on persistent engine failure); call Finish() then, and
-  /// Step() no more.
+  /// (stable recommendation, this step spent the iteration budget, or
+  /// graceful degradation on persistent engine failure); call Finish()
+  /// then, and Step() no more.
   virtual Result<bool> Step() = 0;
 
   /// Final accounting. Call once, after the last Step().

@@ -239,6 +239,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   const int iter = outcome_.iterations;
   if (iter >= tuner_->options_.max_iterations) return true;
   outcome_.iterations = iter + 1;
+  const bool budget_spent = iter + 1 >= tuner_->options_.max_iterations;
   sim::StreamEngine* engine = engine_;
   const int n_ops = engine->graph().num_operators();
 
@@ -353,7 +354,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
     last_backpressure_ = last_metrics_.job_backpressure;
     last_severe_ = last_metrics_.severe_backpressure;
     if (!last_backpressure_) last_clean_ = engine->parallelism();
-    return false;
+    return budget_spent;
   }
 
   // Line 11: fold the fresh Algorithm-1 labels into the dataset (and the
@@ -408,7 +409,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
               (accumulated_->size() - kMaxAccumulatedSamples));
     }
   }
-  return false;
+  return budget_spent;
 }
 
 Result<baselines::TuningOutcome> StreamTuneTuner::Session::Finish() {

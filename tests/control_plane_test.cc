@@ -197,6 +197,35 @@ TEST(JobTuningSessionTest, ShedSessionMatchesDs2Tune) {
   EXPECT_GT(faults_survived, 0) << "the fault plans injected nothing";
 }
 
+// DS2 on Nexmark Q3 at 4x oscillates by +-1 on noisy useful time and runs
+// its whole 10-iteration budget. The step that spends the budget stops the
+// process, so the wrapper counts 10 decisions, not an 11th empty one.
+TEST(JobTuningSessionTest, BudgetExhaustingShedJobCountsOnlyWorkingDecisions) {
+  Fleet twins[2] = {MakeFleet(1, nullptr), MakeFleet(1, nullptr)};
+  JobFaultOptions fault;
+  fault.decision_deadline_minutes = 10000;
+  JobTuningSession shed(0, twins[0].engine(0), nullptr, fault);
+  while (shed.RunDecision() == JobState::kRunning) {
+    ASSERT_LT(shed.decisions(), 1000) << "shed session never converged";
+  }
+  ASSERT_EQ(shed.state(), JobState::kConverged);
+  auto tuned = baselines::Ds2Tuner().Tune(twins[1].engine(0));
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+  ASSERT_EQ(tuned->iterations, baselines::Ds2Options{}.max_iterations);
+  EXPECT_EQ(shed.decisions(), tuned->iterations);
+
+  const baselines::TuningOutcome& a = *shed.outcome();
+  EXPECT_EQ(a.final_parallelism, tuned->final_parallelism);
+  EXPECT_EQ(a.total_parallelism, tuned->total_parallelism);
+  EXPECT_EQ(a.reconfigurations, tuned->reconfigurations);
+  EXPECT_EQ(a.backpressure_events, tuned->backpressure_events);
+  EXPECT_EQ(a.ended_with_backpressure, tuned->ended_with_backpressure);
+  EXPECT_EQ(a.iterations, tuned->iterations);
+  EXPECT_EQ(a.tuning_minutes, tuned->tuning_minutes);
+  EXPECT_EQ(twins[0].engine(0)->virtual_minutes(),
+            twins[1].engine(0)->virtual_minutes());
+}
+
 TEST(ControlPlaneTest, SingleFullJobConvergesAndAdmitsToKb) {
   auto service = SmallService();
   const long long version_before = service->Stats().snapshot_version;
