@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -14,11 +16,62 @@ namespace streamtune::ml {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Whether a node at `depth` holding `rows` rows searches for a split. Fewer
-// than two rows have no split point whatever min_samples_leaf is.
+// Whether a node at `depth` holding `rows` rows, counting copies, searches
+// for a split. Fewer than two rows have no split point whatever
+// min_samples_leaf is.
 bool SearchesSplit(const GbdtConfig& config, int depth, int rows) {
   return depth < config.max_depth && rows >= 2 &&
          rows >= 2 * config.min_samples_leaf;
+}
+
+// The distinct rows of a training set: `first[i]` is the index in the data
+// of distinct row i's first occurrence (ascending), `copies[i]` how often it
+// occurs. Rows are identical when their embeddings are equal bit for bit
+// and their parallelism and label are equal.
+struct DistinctRows {
+  std::vector<int> first;
+  std::vector<int> copies;
+};
+
+DistinctRows CollapseDuplicates(const std::vector<LabeledSample>& data) {
+  const size_t n = data.size();
+  auto hash_of = [](const LabeledSample& s) {
+    uint64_t h = static_cast<uint64_t>(s.parallelism) * 2 + (s.label == 1);
+    for (double v : s.embedding) {
+      uint64_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      h = (h ^ bits) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return h;
+  };
+  auto same = [&data](int a, int b) {
+    const LabeledSample& x = data[a];
+    const LabeledSample& y = data[b];
+    return x.parallelism == y.parallelism && x.label == y.label &&
+           std::memcmp(x.embedding.data(), y.embedding.data(),
+                       x.embedding.size() * sizeof(double)) == 0;
+  };
+  // Open addressing over at least 2n slots, each holding a distinct row id.
+  size_t slots = 1;
+  while (slots < 2 * n) slots *= 2;
+  std::vector<int> table(slots, -1);
+  DistinctRows rows;
+  for (size_t i = 0; i < n; ++i) {
+    size_t slot = hash_of(data[i]) & (slots - 1);
+    while (table[slot] >= 0 &&
+           !same(rows.first[table[slot]], static_cast<int>(i))) {
+      slot = (slot + 1) & (slots - 1);
+    }
+    if (table[slot] >= 0) {
+      ++rows.copies[table[slot]];
+      continue;
+    }
+    table[slot] = static_cast<int>(rows.first.size());
+    rows.first.push_back(static_cast<int>(i));
+    rows.copies.push_back(1);
+  }
+  return rows;
 }
 
 // Threshold between adjacent distinct sorted values a < b; rows with
@@ -30,13 +83,15 @@ double SplitThreshold(double a, double b) {
 }
 }  // namespace
 
-/// Everything one Fit shares across its trees. With F features and n rows,
-/// `order` holds F + 1 lists of n row ids: list f < F sorted by
+/// Everything one Fit shares across its trees. A row here is a distinct
+/// training row, standing for `copies[row]` identical ones. With F features
+/// and n rows, `order` holds F + 1 lists of n row ids: list f < F sorted by
 /// (cols[f * n + row], row), list F by row. Each tree starts from a copy of
 /// `sorted` and every node partitions its own [begin, end) of each list.
 struct MonotonicGbdt::FitState {
   size_t n = 0;
   int num_features = 0;
+  std::vector<int> copies;
   std::vector<double> cols;  // column-major: cols[f * n + row]
   std::vector<int> sorted;   // the lists as sorted at the root
   std::vector<int> order;    // the lists as partitioned by the current tree
@@ -74,11 +129,14 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
   const int num_features = state->num_features;
   const double* grad = state->grad.data();
   const double* hess = state->hess.data();
+  const int* copies = state->copies.data();
   const int* rows = state->list(num_features);  // ascending row ids
   double g_total = 0, h_total = 0;
+  int count = 0;  // rows in the node, counting copies
   for (int k = begin; k < end; ++k) {
     g_total += grad[rows[k]];
     h_total += hess[rows[k]];
+    count += copies[rows[k]];
   }
   const double lam = config_.reg_lambda;
   auto leaf_value = [&](double g, double h, double lo, double hi) {
@@ -95,7 +153,6 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
     return node_id;
   };
 
-  const int count = end - begin;
   if (!SearchesSplit(config_, depth, count)) return make_leaf();
 
   const int p_feature = num_features - 1;  // constrained feature
@@ -105,6 +162,7 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
   int best_feature = -1;
   double best_threshold = 0;
   double best_wl = 0, best_wr = 0;
+  int best_left_count = 0;
 
   for (int f = 0; f < num_features; ++f) {
     const int* ids = state->list(f);
@@ -114,18 +172,20 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
     // node's range, in whatever order, still has this one value.
     if (x[ids[begin]] == x[ids[end - 1]]) continue;
     double gl = 0, hl = 0;
+    int cl = 0;
     for (int k = begin; k + 1 < end; ++k) {
       int i = ids[k];
       gl += grad[i];
       hl += hess[i];
+      cl += copies[i];
       // Only split between distinct feature values.
       if (x[i] >= x[ids[k + 1]]) continue;
       double gr = g_total - gl, hr = h_total - hl;
       if (hl < config_.min_child_hessian || hr < config_.min_child_hessian) {
         continue;
       }
-      if (k + 1 - begin < config_.min_samples_leaf ||
-          end - k - 1 < config_.min_samples_leaf) {
+      if (cl < config_.min_samples_leaf ||
+          count - cl < config_.min_samples_leaf) {
         continue;
       }
       double gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) -
@@ -144,6 +204,7 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
         best_threshold = SplitThreshold(x[i], x[ids[k + 1]]);
         best_wl = Clamp(-gl / (hl + lam), lower, upper);
         best_wr = Clamp(-gr / (hr + lam), lower, upper);
+        best_left_count = cl;
       }
     }
   }
@@ -162,8 +223,8 @@ int MonotonicGbdt::BuildNode(Tree* tree, FitState* state, int begin, int end,
   }
   assert(mid > begin && mid < end);
   const bool children_search =
-      SearchesSplit(config_, depth + 1, mid - begin) ||
-      SearchesSplit(config_, depth + 1, end - mid);
+      SearchesSplit(config_, depth + 1, best_left_count) ||
+      SearchesSplit(config_, depth + 1, count - best_left_count);
   int* scratch = state->scratch.data();
   for (int f = children_search ? 0 : num_features; f <= num_features; ++f) {
     int* ids = state->list(f);
@@ -215,26 +276,33 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
       }
     }
   }
-  const size_t n = data.size();
+  // Fit on distinct rows: a row with c copies enters every gradient and
+  // hessian sum once, weighted by c. Class weights and the prior count
+  // copies.
+  DistinctRows distinct = CollapseDuplicates(data);
+  const size_t total = data.size();
+  const size_t n = distinct.first.size();
   const int num_features = embedding_dim_ + 1;
   FitState state;
   state.n = n;
   state.num_features = num_features;
+  state.copies = std::move(distinct.copies);
   state.cols.resize(num_features * n);
   std::vector<double> y(n);
   size_t positives = 0;
   for (size_t i = 0; i < n; ++i) {
-    const std::vector<double>& h = data[i].embedding;
+    const LabeledSample& s = data[distinct.first[i]];
+    const std::vector<double>& h = s.embedding;
     for (int f = 0; f < embedding_dim_; ++f) state.cols[f * n + i] = h[f];
     state.cols[embedding_dim_ * n + i] =
-        data[i].parallelism / config_.parallelism_scale;
-    y[i] = data[i].label == 1 ? 1.0 : 0.0;
-    if (data[i].label == 1) ++positives;
+        s.parallelism / config_.parallelism_scale;
+    y[i] = s.label == 1 ? 1.0 : 0.0;
+    if (s.label == 1) positives += state.copies[i];
   }
-  double w_pos = positives == 0 ? 1.0 : 0.5 * n / positives;
-  double w_neg = positives == n ? 1.0 : 0.5 * n / (n - positives);
+  double w_pos = positives == 0 ? 1.0 : 0.5 * total / positives;
+  double w_neg = positives == total ? 1.0 : 0.5 * total / (total - positives);
 
-  double prior = Clamp(static_cast<double>(positives) / n, 0.02, 0.98);
+  double prior = Clamp(static_cast<double>(positives) / total, 0.02, 0.98);
   base_score_ = std::log(prior / (1.0 - prior));
 
   state.sorted.resize((num_features + 1) * n);
@@ -258,8 +326,9 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
     for (size_t i = 0; i < n; ++i) {
       double s = Sigmoid(state.margin[i]);
       double w = y[i] > 0.5 ? w_pos : w_neg;
-      state.grad[i] = w * (s - y[i]);
-      state.hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+      double c = state.copies[i];  // exact: 1 * x == x
+      state.grad[i] = c * (w * (s - y[i]));
+      state.hess[i] = c * std::max(w * s * (1.0 - s), 1e-9);
     }
     state.order = state.sorted;
     Tree tree;
@@ -267,7 +336,6 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
     BuildNode(&tree, &state, 0, static_cast<int>(n), 0, -kInf, kInf);
     trees_.push_back(std::move(tree));
   }
-  fitted_ = true;
   return Status::OK();
 }
 

@@ -19,6 +19,16 @@
 // canonical order fixes the order in which tied rows' gradients are summed,
 // so the fitted ensemble is the same as re-sorting every feature at every
 // node with that order.
+//
+// Fit first collapses identical training rows (equal embedding bit for bit,
+// parallelism and label) into one weighted row; distinct rows keep the order
+// of their first occurrence. A row with c copies carries c times its
+// gradient and hessian, and min_samples_leaf counts copies, as do the class
+// weights and the prior. So the fitted ensemble depends only on the multiset
+// of training rows (and the first-occurrence order of the distinct ones), and
+// on a duplicate-free set every count is 1 and the fit is the unweighted one
+// bit for bit. With duplicates it equals the unweighted fit in exact
+// arithmetic; only the rounding of the gradient sums differs.
 
 #pragma once
 
@@ -82,7 +92,6 @@ class MonotonicGbdt : public BottleneckModel {
   GbdtConfig config_;
   double base_score_ = 0.0;  // initial log-odds
   std::vector<Tree> trees_;
-  bool fitted_ = false;
 };
 
 }  // namespace streamtune::ml

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <tuple>
@@ -162,26 +163,49 @@ TEST(GbdtTest, DepthLimitRespected) {
   EXPECT_LE(p, 1.0);
 }
 
+// Same embedding bit for bit, same parallelism, same label.
+bool Identical(const LabeledSample& a, const LabeledSample& b) {
+  return a.parallelism == b.parallelism && a.label == b.label &&
+         a.embedding.size() == b.embedding.size() &&
+         std::memcmp(a.embedding.data(), b.embedding.data(),
+                     a.embedding.size() * sizeof(double)) == 0;
+}
+
 // The per-node-sort exact greedy fit that MonotonicGbdt::Fit replaced: it
 // re-sorts every feature by (value, row) at every node and routes rows with
-// Predict. The presorted Fit must build the very same ensemble.
+// Predict. With `collapse` it first merges identical rows into weighted
+// ones by a quadratic search, as Fit does with its hash table; without, it
+// is the unweighted fit. The presorted Fit must build the very same
+// ensemble as the collapsing reference.
 class ReferenceGbdt {
  public:
   explicit ReferenceGbdt(const GbdtConfig& cfg) : cfg_(cfg) {}
 
-  void RefFit(const std::vector<LabeledSample>& data) {
-    const size_t n = data.size();
+  void RefFit(const std::vector<LabeledSample>& data, bool collapse = true) {
+    std::vector<const LabeledSample*> rows;  // first occurrences
+    copies_.clear();
+    for (const LabeledSample& s : data) {
+      size_t d = collapse ? 0 : rows.size();
+      while (d < rows.size() && !Identical(*rows[d], s)) ++d;
+      if (d == rows.size()) {
+        rows.push_back(&s);
+        copies_.push_back(0);
+      }
+      ++copies_[d];
+    }
+    const size_t total = data.size();
+    const size_t n = rows.size();
     std::vector<std::vector<double>> x(n);
     std::vector<double> y(n);
     size_t pos = 0;
     for (size_t i = 0; i < n; ++i) {
-      x[i] = Features(data[i].embedding, data[i].parallelism);
-      y[i] = data[i].label == 1 ? 1.0 : 0.0;
-      pos += data[i].label == 1;
+      x[i] = Features(rows[i]->embedding, rows[i]->parallelism);
+      y[i] = rows[i]->label == 1 ? 1.0 : 0.0;
+      if (rows[i]->label == 1) pos += copies_[i];
     }
-    double w_pos = pos == 0 ? 1.0 : 0.5 * n / pos;
-    double w_neg = pos == n ? 1.0 : 0.5 * n / (n - pos);
-    double prior = Clamp(static_cast<double>(pos) / n, 0.02, 0.98);
+    double w_pos = pos == 0 ? 1.0 : 0.5 * total / pos;
+    double w_neg = pos == total ? 1.0 : 0.5 * total / (total - pos);
+    double prior = Clamp(static_cast<double>(pos) / total, 0.02, 0.98);
     base_ = std::log(prior / (1.0 - prior));
     std::vector<double> margin(n, base_), grad(n), hess(n);
     std::vector<int> all(n);
@@ -190,8 +214,8 @@ class ReferenceGbdt {
       for (size_t i = 0; i < n; ++i) {
         double s = Sigmoid(margin[i]);
         double w = y[i] > 0.5 ? w_pos : w_neg;
-        grad[i] = w * (s - y[i]);
-        hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+        grad[i] = copies_[i] * (w * (s - y[i]));
+        hess[i] = copies_[i] * std::max(w * s * (1.0 - s), 1e-9);
       }
       trees_.emplace_back();
       Grow(&trees_.back(), x, grad, hess, all, 0, -kInf, kInf);
@@ -232,12 +256,12 @@ class ReferenceGbdt {
            const std::vector<double>& g, const std::vector<double>& h,
            const std::vector<int>& idx, int depth, double lo, double hi) {
     double gt = 0, ht = 0;
-    for (int i : idx) gt += g[i], ht += h[i];
+    int sz = 0;  // rows, counting copies
+    for (int i : idx) gt += g[i], ht += h[i], sz += copies_[i];
     const double lam = cfg_.reg_lambda;
     int id = static_cast<int>(t->size());
     t->emplace_back();
     (*t)[id].value = cfg_.learning_rate * Clamp(-gt / (ht + lam), lo, hi);
-    const int sz = static_cast<int>(idx.size());
     if (depth >= cfg_.max_depth || sz < 2 * cfg_.min_samples_leaf) return id;
     const int nf = static_cast<int>(x[0].size());
     double parent = gt * gt / (ht + lam), best = cfg_.min_split_gain;
@@ -249,12 +273,13 @@ class ReferenceGbdt {
         return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
       });
       double gl = 0, hl = 0;
-      for (int k = 0; k + 1 < sz; ++k) {
-        gl += g[s[k]], hl += h[s[k]];
+      int cl = 0;
+      for (size_t k = 0; k + 1 < s.size(); ++k) {
+        gl += g[s[k]], hl += h[s[k]], cl += copies_[s[k]];
         if (x[s[k]][f] >= x[s[k + 1]][f]) continue;
         double gr = gt - gl, hr = ht - hl;
         if (hl < cfg_.min_child_hessian || hr < cfg_.min_child_hessian) continue;
-        if (k + 1 < cfg_.min_samples_leaf || sz - k - 1 < cfg_.min_samples_leaf)
+        if (cl < cfg_.min_samples_leaf || sz - cl < cfg_.min_samples_leaf)
           continue;
         double gain =
             0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent);
@@ -287,6 +312,7 @@ class ReferenceGbdt {
   }
 
   GbdtConfig cfg_;
+  std::vector<int> copies_;  // per distinct row
   double base_ = 0;
   std::vector<Tree> trees_;
 };
@@ -296,10 +322,10 @@ constexpr int kTunerMaxP = 64;
 
 // Shaped like a tuner's M_f training set: ~120 diverse warm-up rows on a
 // coarse value grid, then feedback rows from a few operators whose
-// embeddings repeat every iteration, each tripled and followed by its
-// halved-p (bottleneck) or doubled-p (clean) augmentation. Column 1 is the
-// same in every row.
-std::vector<LabeledSample> TunerLikeDataset(uint64_t seed) {
+// embeddings repeat every iteration, each repeated `copies` times (the
+// tuner triples them) and followed by its halved-p (bottleneck) or
+// doubled-p (clean) augmentation. Column 1 is the same in every row.
+std::vector<LabeledSample> TunerLikeDataset(uint64_t seed, int copies = 3) {
   Rng rng(seed);
   auto grid = [&rng] { return rng.UniformInt(0, 8) / 8.0; };
   std::vector<LabeledSample> data;
@@ -320,7 +346,7 @@ std::vector<LabeledSample> TunerLikeDataset(uint64_t seed) {
       s.embedding = ops[v];
       s.parallelism = rng.UniformInt(1, kTunerMaxP);
       s.label = s.parallelism < 10 + 8 * static_cast<int>(v) ? 1 : 0;
-      std::vector<LabeledSample> induced{s, s, s};
+      std::vector<LabeledSample> induced(copies, s);
       if (s.label == 1 && s.parallelism > 1) {
         induced.push_back(s);
         induced.back().parallelism = s.parallelism / 2;
@@ -334,14 +360,9 @@ std::vector<LabeledSample> TunerLikeDataset(uint64_t seed) {
   return data;
 }
 
-// Fits both implementations and compares PredictLogit bit for bit at every
-// training embedding and a few fresh ones, for every degree 1..kTunerMaxP+1.
-void ExpectSameEnsemble(const std::vector<LabeledSample>& data,
-                        const GbdtConfig& cfg) {
-  MonotonicGbdt gbdt(kTunerDim, cfg);
-  ASSERT_TRUE(gbdt.Fit(data).ok());
-  ReferenceGbdt ref(cfg);
-  ref.RefFit(data);
+// Every training embedding and a few fresh ones.
+std::vector<std::vector<double>> Probes(
+    const std::vector<LabeledSample>& data) {
   std::vector<std::vector<double>> probes;
   for (const LabeledSample& s : data) probes.push_back(s.embedding);
   Rng rng(41);
@@ -349,6 +370,19 @@ void ExpectSameEnsemble(const std::vector<LabeledSample>& data,
     probes.push_back({rng.Uniform(), rng.Uniform(), rng.Uniform(),
                       rng.Uniform(), rng.Uniform(), rng.Uniform()});
   }
+  return probes;
+}
+
+// Fits both implementations and compares PredictLogit bit for bit at every
+// probe, for every degree 1..kTunerMaxP+1. `collapse_ref` picks the
+// reference's weighted (true) or unweighted (false) fit.
+void ExpectSameEnsemble(const std::vector<LabeledSample>& data,
+                        const GbdtConfig& cfg, bool collapse_ref = true) {
+  MonotonicGbdt gbdt(kTunerDim, cfg);
+  ASSERT_TRUE(gbdt.Fit(data).ok());
+  ReferenceGbdt ref(cfg);
+  ref.RefFit(data, collapse_ref);
+  const std::vector<std::vector<double>> probes = Probes(data);
   for (size_t e = 0; e < probes.size(); ++e) {
     for (int p = 1; p <= kTunerMaxP + 1; ++p) {
       double got = gbdt.PredictLogit(probes[e], p);
@@ -376,6 +410,67 @@ INSTANTIATE_TEST_SUITE_P(Configs, GbdtEqualityTest,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Values(1, 4, 6),
                                             ::testing::Values(1, 2, 5)));
+
+// Without duplicates every copy count is 1, so Fit must be the unweighted
+// fit bit for bit. The tuner-shaped rows without their {s, s, s} copies can
+// still repeat (an operator seen twice at one degree); those are dropped.
+TEST(GbdtTest, DuplicateFreeFitMatchesUncollapsedReference) {
+  for (uint64_t seed : {1, 2}) {
+    std::vector<LabeledSample> data;
+    for (LabeledSample& s : TunerLikeDataset(seed, /*copies=*/1)) {
+      bool seen = false;
+      for (const LabeledSample& kept : data) seen = seen || Identical(kept, s);
+      if (!seen) data.push_back(std::move(s));
+    }
+    for (bool monotone : {false, true}) {
+      for (int depth : {1, 4, 6}) {
+        for (int leaf : {1, 2, 5}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << " monotone " << monotone
+                       << " depth " << depth << " leaf " << leaf);
+          GbdtConfig cfg;
+          cfg.enforce_monotonic = monotone;
+          cfg.max_depth = depth;
+          cfg.min_samples_leaf = leaf;
+          ExpectSameEnsemble(data, cfg, /*collapse_ref=*/false);
+        }
+      }
+    }
+  }
+}
+
+// The ensemble is a function of the multiset of rows (with distinct rows in
+// first-occurrence order): moving every repeat of a row from next to its
+// first occurrence to the end of the data changes nothing.
+TEST(GbdtTest, FitDependsOnlyOnRowMultiset) {
+  for (uint64_t seed : {1, 2}) {
+    SCOPED_TRACE(seed);
+    const std::vector<LabeledSample> adjacent = TunerLikeDataset(seed);
+    std::vector<LabeledSample> firsts, repeats;
+    for (const LabeledSample& s : adjacent) {
+      bool seen = false;
+      for (const LabeledSample& f : firsts) seen = seen || Identical(f, s);
+      (seen ? repeats : firsts).push_back(s);
+    }
+    ASSERT_GT(repeats.size(), adjacent.size() / 3);
+    std::vector<LabeledSample> appended = firsts;
+    appended.insert(appended.end(), repeats.begin(), repeats.end());
+
+    for (int leaf : {1, 2, 5}) {
+      GbdtConfig cfg;
+      cfg.min_samples_leaf = leaf;
+      MonotonicGbdt a(kTunerDim, cfg), b(kTunerDim, cfg);
+      ASSERT_TRUE(a.Fit(adjacent).ok());
+      ASSERT_TRUE(b.Fit(appended).ok());
+      for (const std::vector<double>& h : Probes(adjacent)) {
+        for (int p = 1; p <= kTunerMaxP + 1; ++p) {
+          ASSERT_EQ(a.PredictLogit(h, p), b.PredictLogit(h, p))
+              << "leaf " << leaf << " p=" << p;
+        }
+      }
+    }
+  }
+}
 
 TEST(GbdtTest, PresortedFitMatchesPerNodeSortOnTinyInputs) {
   auto data = TunerLikeDataset(3);

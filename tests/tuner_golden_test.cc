@@ -262,10 +262,10 @@ const std::vector<Row>& Golden() {
        0x1.ep+4, 0, 0, 0, 0x1.ep+5},
       {"StreamTune", 0, 1.5, {1, 1, 1, 3, 1}, 7, 1, 0, false, 2,
        0x1.4p+3, 0, 0, 0, 0x1.18p+6},
-      {"StreamTune", 0, 20.0, {1, 1, 3, 9, 1}, 15, 7, 4, false, 8,
-       0x1.18p+6, 0, 0, 0, 0x1.18p+7},
-      {"StreamTune", 0, 5.0, {1, 1, 1, 3, 1}, 7, 2, 0, false, 3,
-       0x1.4p+4, 0, 0, 0, 0x1.4p+7},
+      {"StreamTune", 0, 20.0, {1, 1, 9, 9, 1}, 21, 5, 3, false, 6,
+       0x1.9p+5, 0, 0, 0, 0x1.ep+6},
+      {"StreamTune", 0, 5.0, {1, 1, 1, 2, 1}, 6, 5, 1, false, 6,
+       0x1.9p+5, 0, 0, 0, 0x1.54p+7},
       {"StreamTune", 1, 8.0, {1, 1, 1, 4, 1}, 8, 1, 0, false, 2,
        0x1.4p+3, 0, 0, 0, 0x1.4p+4},
       {"StreamTune", 1, 3.0, {1, 1, 1, 2, 1}, 6, 1, 0, false, 2,
