@@ -71,11 +71,12 @@ class PretrainedBundle {
   const FeatureEncoder& feature_encoder() const { return feature_encoder_; }
 
   /// Nearest cluster for a target DAG by GED to the cluster centers
-  /// (Algorithm 2, line 1). Served by the two-stage signature index —
-  /// bit-identical to the linear center scan it replaced.
+  /// (Algorithm 2, line 1). Served by the center index's lower-bound
+  /// pruned search — bit-identical to a linear center scan.
   int AssignCluster(const JobGraph& g) const;
 
-  /// The signature index over the cluster centers, built at construction.
+  /// The nearest-center index over the cluster centers (one feature block
+  /// per center), built at construction.
   /// Admission uses it with the KB's shared GedCache; AssignCluster uses
   /// it cache-less (both give the same answer — see
   /// index/nearest_center_index.h on order independence).

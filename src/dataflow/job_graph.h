@@ -99,15 +99,6 @@ class JobGraph {
   /// (AddOperator/AddEdge/mutable_op) invalidates the memo.
   uint64_t CanonicalHash() const;
 
-  /// One full WL color-refinement pass: the per-node final colors that
-  /// CanonicalHash() folds into the graph hash. Node v's color captures
-  /// its operator type plus the types/wiring of everything within
-  /// min(n, 16) hops, separating in- from out-neighborhoods. Shared by
-  /// CanonicalHash() and the KB signature index (index/wl_signature.h).
-  /// Pure function of the graph — no lazy caches touched, safe to call
-  /// concurrently.
-  std::vector<uint64_t> WlColors() const;
-
   /// True if the graph contains a directed cycle.
   bool HasCycle() const;
 
@@ -121,6 +112,14 @@ class JobGraph {
   }
 
  private:
+  /// One full WL color-refinement pass: the per-node final colors that
+  /// CanonicalHash() folds into the graph hash. Node v's color captures
+  /// its operator type plus the types/wiring of everything within
+  /// min(n, 16) hops, separating in- from out-neighborhoods. Pure
+  /// function of the graph — no lazy caches touched, safe to call
+  /// concurrently.
+  std::vector<uint64_t> WlColors() const;
+
   void RebuildAdjacency() const;
   void CopyFrom(const JobGraph& other);
   void MoveFrom(JobGraph& other);

@@ -1,7 +1,9 @@
 #include "index/nearest_center_index.h"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <numeric>
 
 #include "graph/ged_policy.h"
 
@@ -11,48 +13,30 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-// Stable counting sort of all columns by score descending (key = max score
-// minus score), ties by ascending column id. O(n + kSignatureBits).
-std::vector<int32_t> OrderByScoreDesc(const std::vector<uint16_t>& scores) {
-  std::array<int32_t, kSignatureBits + 2> start{};
-  for (uint16_t s : scores) ++start[kSignatureBits - s + 1];
-  for (int b = 1; b <= kSignatureBits + 1; ++b) start[b] += start[b - 1];
-  std::vector<int32_t> order(scores.size());
-  for (int32_t i = 0; i < static_cast<int32_t>(scores.size()); ++i) {
-    order[start[kSignatureBits - scores[i]]++] = i;
-  }
-  return order;
-}
-
-// Stable counting sort by (lower bound ascending, score descending), ties
-// by ascending column id. FeatureLowerBound is integer-valued (node count,
-// histogram sums and edge-count differences), so the composite key
-// lb * (kSignatureBits + 1) + (kSignatureBits - score) is exact.
-// O(n + max_lb * kSignatureBits).
-std::vector<int32_t> OrderByLbThenScore(const std::vector<double>& lbs,
-                                        const std::vector<uint16_t>& scores) {
-  const int n = static_cast<int>(lbs.size());
-  long long max_lb = 0;
-  for (double lb : lbs) {
-    max_lb = std::max(max_lb, static_cast<long long>(lb));
-  }
-  const long long stride = kSignatureBits + 1;
-  auto key = [&](int i) {
-    return static_cast<long long>(lbs[i]) * stride +
-           (kSignatureBits - scores[i]);
-  };
-  std::vector<int32_t> start((max_lb + 1) * stride + 1, 0);
-  for (int i = 0; i < n; ++i) ++start[key(i) + 1];
-  for (size_t b = 1; b < start.size(); ++b) start[b] += start[b - 1];
-  std::vector<int32_t> order(n);
-  for (int32_t i = 0; i < n; ++i) order[start[key(i)]++] = i;
-  return order;
-}
-
 }  // namespace
 
+GraphFeatures ComputeGraphFeatures(const JobGraph& g) {
+  GraphFeatures f;
+  f.nodes = g.num_operators();
+  f.edges = g.num_edges();
+  for (const OperatorSpec& op : g.operators()) {
+    ++f.type_hist[static_cast<int>(op.type) % kNumOperatorTypes];
+  }
+  return f;
+}
+
+double FeatureLowerBound(const GraphFeatures& a, const GraphFeatures& b) {
+  int common = 0;
+  for (int t = 0; t < kNumOperatorTypes; ++t) {
+    common += std::min(a.type_hist[t], b.type_hist[t]);
+  }
+  const int node_lb = std::max(a.nodes, b.nodes) - common;
+  const int edge_lb = std::abs(a.edges - b.edges);
+  return static_cast<double>(node_lb + edge_lb);
+}
+
 void NearestCenterIndex::CopyFrom(const NearestCenterIndex& other) {
-  slices_ = other.slices_;
+  features_ = other.features_;
   // Query stats deliberately start cold (see the header's thread-safety
   // note); don't touch other's mutex — only our own, in case a stale
   // reader still samples this object mid-assignment.
@@ -61,18 +45,13 @@ void NearestCenterIndex::CopyFrom(const NearestCenterIndex& other) {
 }
 
 void NearestCenterIndex::MoveFrom(NearestCenterIndex& other) {
-  slices_ = std::move(other.slices_);
+  features_ = std::move(other.features_);
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_ = QueryStats{};
 }
 
 void NearestCenterIndex::Insert(const JobGraph& g) {
-  slices_.Insert(ComputeWlSignature(g), ComputeGraphFeatures(g));
-}
-
-void NearestCenterIndex::Insert(const WlSignature& sig,
-                                const GraphFeatures& features) {
-  slices_.Insert(sig, features);
+  features_.push_back(ComputeGraphFeatures(g));
 }
 
 void NearestCenterIndex::RecordQuery(int candidates, int evaluated) const {
@@ -91,83 +70,58 @@ NearestCenterIndex::NearestResult NearestCenterIndex::Nearest(
     const JobGraph& query, const GraphAccessor& graph_at,
     graph::GedCache* cache) const {
   NearestResult result;
-  const int n = slices_.size();
+  const int n = size();
   if (n == 0) return result;
 
-  const WlSignature sig = ComputeWlSignature(query);
   const GraphFeatures qf = ComputeGraphFeatures(query);
-  std::vector<uint16_t> scores;
-  slices_.Scores(sig, &scores);
-
   std::vector<double> lbs(n);
-  for (int i = 0; i < n; ++i) {
-    lbs[i] = FeatureLowerBound(qf, slices_.features(i));
-  }
+  for (int i = 0; i < n; ++i) lbs[i] = FeatureLowerBound(qf, features_[i]);
+  // Visit order: lower bound ascending, ties by ascending id.
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&lbs](int a, int b) { return lbs[a] < lbs[b]; });
 
-  // The one unthresholded GED call goes to the probe: the lower-bound
-  // argmin (ties: higher signature score, then lower id). A max-overlap
-  // score alone can be a *superset* signature — a much larger graph
-  // containing every query probe — whose unthresholded search is the
-  // expensive kind; the lb-argmin is the structurally closest column
-  // instead, so `best` starts small and every later search runs hard-
-  // thresholded. An exact duplicate (lb 0, maximal score) is always the
-  // probe, making the duplicate-hit path one GED call of distance zero.
-  int probe = 0;
-  for (int i = 1; i < n; ++i) {
-    if (lbs[i] < lbs[probe] ||
-        (lbs[i] == lbs[probe] && scores[i] > scores[probe])) {
-      probe = i;
-    }
-  }
+  // The one unthresholded GED call goes to the probe, order[0]: the
+  // lowest-id lower-bound argmin, the structurally closest column, so
+  // `best` starts small and every later search runs hard-thresholded.
   // Uncached searches take the same per-pair policy route the cache's miss
-  // path takes (exact answers are policy-independent, so the two-stage
-  // exactness argument below is unaffected).
-  double best;
-  {
-    const graph::GedOptions opts;
-    const JobGraph& candidate = graph_at(probe);
-    const graph::GedResult r =
-        cache ? cache->Compute(query, candidate, opts)
-              : graph::PolicyComputeGed(query, candidate, opts);
-    best = r.distance;
-  }
-  int best_idx = probe;
+  // path takes (exact answers are policy-independent, so the exactness
+  // argument in the header is unaffected).
+  const auto ged = [&](int idx, const graph::GedOptions& opts) {
+    const JobGraph& candidate = graph_at(idx);
+    return cache ? cache->Compute(query, candidate, opts)
+                 : graph::PolicyComputeGed(query, candidate, opts);
+  };
+  int best_idx = order[0];
+  double best = ged(best_idx, graph::GedOptions{}).distance;
   int evaluated = 1;
-  // A probe at distance zero ends the search: all ged-0 columns share the
-  // query's signature and features, so they all carry (lb 0, maximal
-  // score) and the probe scan — ascending, strict improvement only —
-  // already picked the lowest-id one.
-  if (best > kEps) {
-    for (int32_t idx : OrderByLbThenScore(lbs, scores)) {
-      if (idx == probe) continue;
-      // Sound prune: ged >= lb > best means this column cannot hold the
-      // minimum and cannot even tie it (a tie needs ged == best < lb <=
-      // ged). lb == best is NOT pruned — the column could tie at a lower
-      // index. The order is lb-ascending and `best` only decreases, so
-      // every later column is pruned too: stop outright.
-      if (lbs[idx] > best + kEps) break;
-      graph::GedOptions opts;
-      opts.threshold = best;
-      const JobGraph& candidate = graph_at(idx);
-      const graph::GedResult r =
-          cache ? cache->Compute(query, candidate, opts)
-                : graph::PolicyComputeGed(query, candidate, opts);
-      ++evaluated;
-      if (r.distance < best - kEps) {
-        // The probe ran unthresholded, so `best` starts exact; later
-        // improvements completed under threshold = old best, so they are
-        // exact too (pruned searches report > threshold, never less).
-        best = r.distance;
-        best_idx = idx;
-      } else if (r.exact && std::abs(r.distance - best) <= kEps &&
-                 idx < best_idx) {
-        best_idx = idx;
-      }
-      // GED 0 cannot be beaten or tied at a lower index later: a ged-0
-      // column matches the query's signature and features, so every such
-      // column shares the (lb 0, maximal score) bucket, visited in
-      // ascending id order.
-      if (best <= kEps) break;
+  // A distance of zero ends the search, at the probe or later: a ged-0
+  // column has lower bound 0 (lb <= ged), so every ged-0 column sits in
+  // the lb-0 prefix of the order, which is visited in ascending id. Any
+  // ged-0 column after the current one therefore has a higher id and can
+  // only tie, never win.
+  for (int k = 1; k < n && best > kEps; ++k) {
+    const int idx = order[k];
+    // Sound prune: ged >= lb > best means this column cannot hold the
+    // minimum and cannot even tie it (a tie needs ged == best < lb <=
+    // ged). lb == best is NOT pruned — the column could tie at a lower
+    // index. The order is lb-ascending and `best` only decreases, so
+    // every later column is pruned too: stop outright.
+    if (lbs[idx] > best + kEps) break;
+    graph::GedOptions opts;
+    opts.threshold = best;
+    const graph::GedResult r = ged(idx, opts);
+    ++evaluated;
+    if (r.distance < best - kEps) {
+      // The probe ran unthresholded, so `best` starts exact; later
+      // improvements completed under threshold = old best, so they are
+      // exact too (pruned searches report > threshold, never less).
+      best = r.distance;
+      best_idx = idx;
+    } else if (r.exact && std::abs(r.distance - best) <= kEps &&
+               idx < best_idx) {
+      best_idx = idx;
     }
   }
 
@@ -175,26 +129,7 @@ NearestCenterIndex::NearestResult NearestCenterIndex::Nearest(
   result.index = best_idx;
   result.distance = best;
   result.evaluated = evaluated;
-  result.pruned = n - evaluated;
   return result;
-}
-
-std::vector<int> NearestCenterIndex::CandidatesWithin(const JobGraph& query,
-                                                      double tau) const {
-  const int n = slices_.size();
-  std::vector<int> out;
-  if (n == 0) return out;
-  const WlSignature sig = ComputeWlSignature(query);
-  const GraphFeatures qf = ComputeGraphFeatures(query);
-  std::vector<uint16_t> scores;
-  slices_.Scores(sig, &scores);
-  for (int32_t idx : OrderByScoreDesc(scores)) {
-    if (FeatureLowerBound(qf, slices_.features(idx)) <= tau + kEps) {
-      out.push_back(idx);
-    }
-  }
-  RecordQuery(n, 0);
-  return out;
 }
 
 }  // namespace streamtune::index

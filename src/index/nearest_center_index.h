@@ -1,24 +1,23 @@
-// Two-stage exact nearest-center search: signature scan -> lower-bound
-// prune -> GED only on survivors.
+// Exact nearest-center search: sound lower-bound prune -> GED only on
+// survivors.
 //
-// Drop-in replacement for the linear graph::NearestCenter scan, built for
-// corpora where "linear in the number of graphs x one A* search per pair"
-// stops being funny (the KB admission path of the control plane). The
-// result is bit-identical to the linear scan — same index, same distance —
-// because the two stages split responsibilities:
+// Drop-in replacement for the linear graph::NearestCenter scan over a
+// bundle's cluster centers (Algorithm 2, line 1, and the KB admission
+// path). The result is bit-identical to the linear scan — same index, same
+// distance — while most centers are settled by a cheap bound instead of an
+// A* search:
 //
-//   1. ORDER (unsound, cheap): the bit-sliced AND-popcount scan ranks all
-//      candidates by signature overlap, most-similar first. A bad ranking
-//      costs time, never correctness.
-//   2. PRUNE + VERIFY (sound): the single unthresholded GED call goes to
-//      the *probe* — the FeatureLowerBound argmin (ties: higher score,
-//      then lower id), the structurally closest column and, when an exact
-//      duplicate exists, that duplicate — so `best` starts small. The
-//      remaining candidates are visited in lower-bound-ascending order
-//      (ties: score descending, then id): the first one whose admissible
-//      lower bound exceeds `best` ends the search outright (everything
-//      after it is bounded even higher), every earlier one is measured
-//      with a threshold-pruned GED search at threshold = best.
+//   1. BOUND (sound, cheap): FeatureLowerBound over each column's stored
+//      scalar features (node count, edge count, operator-type histogram)
+//      is an admissible GED lower bound.
+//   2. PRUNE + VERIFY: columns are visited in (lower bound ascending, id
+//      ascending) order. The first one — the *probe*, the lowest-id
+//      column with the minimum bound — gets the single unthresholded GED
+//      call, so `best` starts small. Every later column whose bound does
+//      not exceed `best` is
+//      measured with a threshold-pruned GED search at threshold = best;
+//      the first one whose bound exceeds `best` ends the search outright
+//      (everything after it is bounded even higher).
 //
 // Exactness argument (property-tested in tests/index_test.cc, documented in
 // DESIGN.md §13): `best` is always an exact distance achieved by some
@@ -33,33 +32,55 @@
 // exhaustion does not occur (and the randomized equality test would catch
 // it if it did).
 //
-// Thread safety: Nearest()/CandidatesWithin() are const and safe to call
-// concurrently on a shared index (query stats sit behind an internal
-// mutex), provided the usual graph contract holds — accessor-returned
-// graphs adjacency-warmed before publication, exactly as KB snapshots
-// already guarantee. Copies and moves transfer the signature matrix but
-// start with cold query stats, mirroring how graph copies start with cold
-// lazy caches (JobGraph::WarmAdjacency).
+// Thread safety: Nearest() is const and safe to call concurrently on a
+// shared index (query stats sit behind an internal mutex), provided the
+// usual graph contract holds — accessor-returned graphs adjacency-warmed
+// before publication, exactly as KB snapshots already guarantee. Copies
+// and moves transfer the columns but start with cold query stats,
+// mirroring how graph copies start with cold lazy caches
+// (JobGraph::WarmAdjacency).
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
 #include <vector>
 
 #include "common/annotations.h"
+#include "dataflow/job_graph.h"
+#include "dataflow/operator.h"
 #include "graph/ged_cache.h"
-#include "index/bitsliced_index.h"
 
 namespace streamtune::index {
 
+/// The scalar features feeding the sound lower bound: exactly the signals
+/// graph::LabelSetLowerBound reads (label multiset + edge count).
+struct GraphFeatures {
+  int32_t nodes = 0;
+  int32_t edges = 0;
+  std::array<int32_t, kNumOperatorTypes> type_hist{};
+
+  bool operator==(const GraphFeatures&) const = default;
+};
+
+/// Isomorphism-invariant: node count, edge count and the operator-type
+/// multiset do not depend on operator ids.
+GraphFeatures ComputeGraphFeatures(const JobGraph& g);
+
+/// Admissible GED lower bound from features alone. For valid DAGs (no
+/// antiparallel edge pairs — guaranteed by JobGraph::Validate, which every
+/// admitted record passes) this equals graph::LabelSetLowerBound(a, b):
+/// max(n_a, n_b) - sum_t min(hist_a[t], hist_b[t]) + |e_a - e_b|.
+double FeatureLowerBound(const GraphFeatures& a, const GraphFeatures& b);
+
 class NearestCenterIndex {
  public:
-  /// Resolves a column id to its graph. The index stores only signatures
-  /// and features (32 B + 40 B per graph); graph ownership stays with the
-  /// caller — a bundle's cluster vector, a corpus record vector, or a
-  /// generator re-materializing graphs on demand at bench scale.
+  /// Resolves a column id to its graph. The index stores only features
+  /// (40 B per graph); graph ownership stays with the caller — a bundle's
+  /// cluster vector, say.
   using GraphAccessor = std::function<const JobGraph&(int)>;
 
   NearestCenterIndex() = default;
@@ -76,14 +97,11 @@ class NearestCenterIndex {
     return *this;
   }
 
-  /// Appends `g` as the next column (computes its signature + features).
+  /// Appends `g` as the next column (computes its features).
   void Insert(const JobGraph& g);
-  /// Appends a pre-computed column (deserialization path).
-  void Insert(const WlSignature& sig, const GraphFeatures& features);
 
-  int size() const { return slices_.size(); }
-  bool empty() const { return slices_.empty(); }
-  const BitslicedIndex& slices() const { return slices_; }
+  int size() const { return static_cast<int>(features_.size()); }
+  bool empty() const { return features_.empty(); }
 
   struct NearestResult {
     /// Argmin column (-1 on an empty index). On ties the lowest index,
@@ -93,22 +111,14 @@ class NearestCenterIndex {
     double distance = std::numeric_limits<double>::infinity();
     /// GED searches issued (including cache-served ones).
     int evaluated = 0;
-    /// Candidates skipped on the lower bound alone — the work the index
-    /// saved over a linear scan.
-    int pruned = 0;
   };
 
-  /// The two-stage search. `graph_at` must resolve every id in [0, size());
+  /// The pruned search. `graph_at` must resolve every id in [0, size());
   /// `cache` (optional) is consulted exactly like the linear scan consults
   /// it — GedCache's order-independent answer policy is what keeps results
   /// stable under either traversal order.
   NearestResult Nearest(const JobGraph& query, const GraphAccessor& graph_at,
                         graph::GedCache* cache = nullptr) const;
-
-  /// Prefilter listing: column ids whose lower bound admits GED <= tau,
-  /// ordered by signature overlap (descending, ties by ascending id). A
-  /// superset of the true <= tau set — callers verify survivors with GED.
-  std::vector<int> CandidatesWithin(const JobGraph& query, double tau) const;
 
   /// Cumulative query-side counters since construction (copies start at
   /// zero). candidates - evaluated = total GED calls avoided.
@@ -124,7 +134,7 @@ class NearestCenterIndex {
   void MoveFrom(NearestCenterIndex& other);
   void RecordQuery(int candidates, int evaluated) const;
 
-  BitslicedIndex slices_;
+  std::vector<GraphFeatures> features_;
 
   /// Guards only the cumulative counters: Nearest() is logically const and
   /// concurrent, so the stats it maintains live behind their own mutex

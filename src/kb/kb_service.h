@@ -41,12 +41,6 @@ class KbSnapshot {
   std::shared_ptr<const core::PretrainedBundle> bundle() const {
     return kb_.bundle;
   }
-  /// The bit-sliced signature index over this snapshot's corpus (column i
-  /// == bundle records()[i]); rebuilt/extended copy-on-write with the rest
-  /// of the state, so it is as immutable as the snapshot itself.
-  const index::NearestCenterIndex& corpus_index() const {
-    return kb_.corpus_index;
-  }
   /// What the KB knows about `job`; nullptr when it was never admitted.
   const JobKnowledge* job(const std::string& name) const;
 
@@ -94,8 +88,8 @@ struct KbServiceStats {
   /// Admissions that triggered an inline re-pre-training.
   long long repretrains = 0;
 
-  /// GED-cache counters at sample time — how much GED work the signature
-  /// index plus the cache saved the admission path (bench + watchdog
+  /// GED-cache counters at sample time — how much GED work the cache saved
+  /// the admission path's nearest-center searches (bench + watchdog
   /// signal). Sampled from the shared cache's atomics right after the
   /// consistent block; monotone like the other counters.
   long long ged_hits_exact = 0;

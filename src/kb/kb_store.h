@@ -14,6 +14,12 @@
 //   <exactly byte-count bytes of section body>
 //   ...
 //
+// SaveKb writes version 1: the sections bundle, stats and jobs, in that
+// order. LoadKb also accepts version 2, which appends a fourth section
+// "index" (per-record graph signatures that nothing reads any more): its
+// header, exact length and CRC are checked like any other section, then
+// its body is discarded.
+//
 // Every section body is length-prefixed and CRC-32 checksummed, so any
 // truncation and any bit flip in a persisted KB is detected at load time
 // (truncation shortens an exact-length read; flips fail the CRC or the
@@ -30,7 +36,6 @@
 #include "baselines/conttune.h"
 #include "core/pretrain.h"
 #include "core/serialization.h"
-#include "index/nearest_center_index.h"
 #include "ml/bottleneck_model.h"
 
 namespace streamtune::kb {
@@ -66,23 +71,11 @@ struct KnowledgeBase {
   long long drifted_since_pretrain = 0;
   /// Total admissions over the KB's lifetime.
   long long admissions_total = 0;
-  /// Bit-sliced signature index over the corpus: column i is
-  /// bundle->records()[i].graph. Extended incrementally on admission,
-  /// rebuilt on re-pre-training and on legacy (v1) loads, persisted as the
-  /// "index" STKB section. Serves similar-job retrieval at corpus scale
-  /// without touching GED until the final verify stage.
-  index::NearestCenterIndex corpus_index;
 };
 
 /// Structural invariants every in-memory and loaded KB must satisfy
-/// (non-null bundle, appearance size == cluster count, counters coherent,
-/// corpus index column count == corpus size).
+/// (non-null bundle, appearance size == cluster count, counters coherent).
 Status ValidateKb(const KnowledgeBase& kb);
-
-/// Rebuilds kb->corpus_index from the bundle's records unless it is
-/// already in sync (one column per record). Cheap when in sync; used after
-/// re-pre-training and when loading a version-1 file with no index section.
-void SyncCorpusIndex(KnowledgeBase* kb);
 
 /// Saves `kb` to `path`: temp file + atomic rename, per-section CRC-32.
 [[nodiscard]] Status SaveKb(const KnowledgeBase& kb, const std::string& path);

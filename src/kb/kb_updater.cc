@@ -49,11 +49,11 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
   const core::PretrainedBundle& old = *kb->bundle;
 
   // Nearest-center assignment by GED (Algorithm 2 line 1, reused for the
-  // feedback edge), served by the bundle's two-stage signature index:
-  // signature scan orders the centers, the sound lower bound prunes, GED
-  // (through the shared cache) verifies survivors. Returns the identical
-  // (cluster, exact distance) pair the old linear DistancesToCenters scan
-  // produced — see index/nearest_center_index.h.
+  // feedback edge), served by the bundle's center index: the sound lower
+  // bound orders and prunes the centers, GED (through the shared cache)
+  // verifies survivors. Returns the identical (cluster, exact distance)
+  // pair a linear DistancesToCenters scan produces — see
+  // index/nearest_center_index.h.
   const index::NearestCenterIndex::NearestResult nearest =
       old.center_index().Nearest(
           rec.record.graph,
@@ -77,9 +77,6 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
       std::move(clusters), std::move(records), old.feature_encoder());
   WarmBundleGraphs(*bundle);
   kb->bundle = std::move(bundle);
-  // Extend the corpus index with the new record's column (incremental: the
-  // existing slice groups are untouched).
-  kb->corpus_index.Insert(rec.record.graph);
 
   AdmissionOutcome outcome;
   outcome.cluster = cluster;
@@ -134,10 +131,6 @@ Status KbUpdater::Repretrain(KnowledgeBase* kb) const {
       static_cast<long long>(bundle->records().size());
   kb->drifted_since_pretrain = 0;
   kb->bundle = std::move(bundle);
-  // Re-pre-training may reorder or re-cluster the corpus; rebuild the
-  // index from scratch so column i always means records()[i].
-  kb->corpus_index = index::NearestCenterIndex();
-  SyncCorpusIndex(kb);
   return Status::OK();
 }
 

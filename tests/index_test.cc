@@ -4,15 +4,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <string>
 #include <thread>
 
 #include "graph/ged.h"
 #include "graph/ged_cache.h"
 #include "graph/ged_kmeans.h"
-#include "index/bitsliced_index.h"
-#include "index/wl_signature.h"
 #include "workloads/pqp.h"
 #include "workloads/random_dag.h"
 
@@ -67,10 +63,11 @@ JobGraph DiamondInOrder(bool reversed) {
   return g;
 }
 
+// The graph's WL signature is its CanonicalHash; the index keys on the
+// scalar features. Both must ignore operator insertion order.
 TEST(WlSignatureTest, IsomorphicGraphsShareSignatureAndFeatures) {
   JobGraph a = DiamondInOrder(false);
   JobGraph b = DiamondInOrder(true);
-  EXPECT_EQ(ComputeWlSignature(a), ComputeWlSignature(b));
   EXPECT_EQ(ComputeGraphFeatures(a), ComputeGraphFeatures(b));
   EXPECT_EQ(a.CanonicalHash(), b.CanonicalHash());
 }
@@ -78,7 +75,11 @@ TEST(WlSignatureTest, IsomorphicGraphsShareSignatureAndFeatures) {
 TEST(WlSignatureTest, DifferentStructuresDiffer) {
   JobGraph a = Pqp(workloads::PqpTemplate::kLinear, 0);
   JobGraph b = Pqp(workloads::PqpTemplate::kThreeWayJoin, 0);
-  EXPECT_FALSE(ComputeWlSignature(a) == ComputeWlSignature(b));
+  EXPECT_FALSE(ComputeGraphFeatures(a) == ComputeGraphFeatures(b));
+  EXPECT_NE(a.CanonicalHash(), b.CanonicalHash());
+  EXPECT_GT(
+      FeatureLowerBound(ComputeGraphFeatures(a), ComputeGraphFeatures(b)),
+      0.0);
 }
 
 TEST(WlSignatureTest, FeatureLowerBoundEqualsLabelSetLowerBound) {
@@ -104,81 +105,6 @@ TEST(WlSignatureTest, LowerBoundIsSoundOnRandomPairs) {
     ASSERT_TRUE(r.exact);
     EXPECT_LE(lb, r.distance + 1e-9);
   }
-}
-
-TEST(BitslicedIndexTest, SignatureRoundTripAcrossGroupBoundary) {
-  // > 256 columns so the second slice group is exercised.
-  auto graphs = workloads::GenerateRandomDags(300, /*seed=*/7);
-  BitslicedIndex idx;
-  for (const JobGraph& g : graphs) {
-    idx.Insert(ComputeWlSignature(g), ComputeGraphFeatures(g));
-  }
-  ASSERT_EQ(idx.size(), 300);
-  for (int i = 0; i < idx.size(); ++i) {
-    EXPECT_EQ(idx.signature(i), ComputeWlSignature(graphs[i])) << i;
-    EXPECT_EQ(idx.features(i), ComputeGraphFeatures(graphs[i])) << i;
-  }
-}
-
-TEST(BitslicedIndexTest, ScoresMatchDirectOverlap) {
-  auto graphs = workloads::GenerateRandomDags(300, /*seed=*/11);
-  BitslicedIndex idx;
-  for (const JobGraph& g : graphs) {
-    idx.Insert(ComputeWlSignature(g), ComputeGraphFeatures(g));
-  }
-  const WlSignature query =
-      ComputeWlSignature(Pqp(workloads::PqpTemplate::kThreeWayJoin, 3));
-  std::vector<uint16_t> scores;
-  idx.Scores(query, &scores);
-  ASSERT_EQ(scores.size(), graphs.size());
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_EQ(scores[i],
-              SignatureOverlap(query, ComputeWlSignature(graphs[i])))
-        << i;
-  }
-}
-
-// Pins the scalar core against the active dispatch (AVX2 where available):
-// same fixture shape as MatrixSimdTest's forced-scalar tests.
-class IndexDispatchTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* prev = std::getenv("STREAMTUNE_FORCE_SCALAR");
-    had_env_ = prev != nullptr;
-    if (had_env_) saved_ = prev;
-  }
-  void TearDown() override {
-    if (had_env_) {
-      setenv("STREAMTUNE_FORCE_SCALAR", saved_.c_str(), 1);
-    } else {
-      unsetenv("STREAMTUNE_FORCE_SCALAR");
-    }
-    ReinitIndexDispatchForTest();
-  }
-  bool had_env_ = false;
-  std::string saved_;
-};
-
-TEST_F(IndexDispatchTest, ScalarAndActiveCoresAreBitIdentical) {
-  auto graphs = workloads::GenerateRandomDags(513, /*seed=*/23);
-  BitslicedIndex idx;
-  for (const JobGraph& g : graphs) {
-    idx.Insert(ComputeWlSignature(g), ComputeGraphFeatures(g));
-  }
-  const WlSignature query = ComputeWlSignature(graphs[100]);
-
-  unsetenv("STREAMTUNE_FORCE_SCALAR");
-  ReinitIndexDispatchForTest();
-  std::vector<uint16_t> active;
-  idx.Scores(query, &active);
-
-  setenv("STREAMTUNE_FORCE_SCALAR", "1", 1);
-  ReinitIndexDispatchForTest();
-  EXPECT_STREQ(ActiveIndexDispatch(), "scalar");
-  std::vector<uint16_t> scalar;
-  idx.Scores(query, &scalar);
-
-  EXPECT_EQ(active, scalar);
 }
 
 // ---- The exactness contract ------------------------------------------------
@@ -282,21 +208,25 @@ TEST(NearestCenterIndexTest, FindsExactDuplicateAtDistanceZero) {
   }
 }
 
-TEST(NearestCenterIndexTest, CandidatesWithinIsASupersetOfTrueNeighbors) {
-  const auto corpus = workloads::GenerateRandomDags(64, /*seed=*/77);
+// Every ged-0 column has lower bound 0, and the lb-0 prefix is visited in
+// ascending id. No other center here shares the query's features, so the
+// lowest-id duplicate is the probe and its distance 0 ends the search after
+// one GED call.
+TEST(NearestCenterIndexTest, DuplicateCentersResolveToLowestIdInOneSearch) {
+  const auto graphs = workloads::GenerateRandomDags(6, /*seed=*/41);
+  ASSERT_FALSE(ComputeGraphFeatures(graphs[0]) ==
+               ComputeGraphFeatures(graphs[1]));
+  const std::vector<JobGraph> centers = {graphs[0], graphs[1], graphs[2],
+                                         graphs[1], graphs[3], graphs[1]};
   NearestCenterIndex idx;
-  for (const JobGraph& g : corpus) idx.Insert(g);
-  const JobGraph query = workloads::GenerateRandomDags(1, /*seed=*/78)[0];
-
-  const double tau = 6.0;
-  const std::vector<int> cands = idx.CandidatesWithin(query, tau);
-  for (int i = 0; i < static_cast<int>(corpus.size()); ++i) {
-    const graph::GedResult r = graph::ComputeGed(query, corpus[i]);
-    if (r.exact && r.distance <= tau + 1e-9) {
-      EXPECT_NE(std::find(cands.begin(), cands.end(), i), cands.end())
-          << "true neighbor " << i << " missing from the prefilter";
-    }
-  }
+  for (const JobGraph& c : centers) idx.Insert(c);
+  const auto at = [&centers](int i) -> const JobGraph& {
+    return centers[i];
+  };
+  const auto r = idx.Nearest(graphs[1], at);
+  EXPECT_EQ(r.index, 1);
+  EXPECT_DOUBLE_EQ(r.distance, 0.0);
+  EXPECT_EQ(r.evaluated, 1);
 }
 
 TEST(NearestCenterIndexTest, ConcurrentQueriesAgreeWithSerialAnswers) {
@@ -361,11 +291,10 @@ TEST(NearestCenterIndexTest, CopiesKeepColumnsButStartWithColdStats) {
   NearestCenterIndex copy = idx;
   EXPECT_EQ(copy.size(), idx.size());
   EXPECT_EQ(copy.query_stats().queries, 0);
+  // The copy still answers correctly, from every column.
   for (int i = 0; i < idx.size(); ++i) {
-    EXPECT_EQ(copy.slices().signature(i), idx.slices().signature(i));
+    EXPECT_EQ(copy.Nearest(centers[i], at).index, i);
   }
-  // The copy still answers correctly.
-  EXPECT_EQ(copy.Nearest(centers[5], at).index, 5);
 }
 
 }  // namespace
